@@ -51,18 +51,14 @@ from .gates import (
     Circuit,
     Gate,
     GeneratorSet,
-    apply_circuit,
-    apply_gate,
     enumerate_ch,
     enumerate_ci,
-    gate_perm,
     generator_set,
-    invert_circuit,
     parse_circuit,
 )
 from .hypercube import hc_bidirectional, hc_synthesize
 from .mmd import mmd_synthesize
-from .perm import TruthVector, compose, hamming, identity, inverse, rank, reverse_perm, unrank
+from .perm import TruthVector
 
 __version__ = "0.1.0"
 
@@ -81,14 +77,11 @@ __all__ = [
     "QuantumGate",
     "TruthVector",
     "VerificationResult",
-    "apply_circuit",
-    "apply_gate",
     "bfs",
     "bfs_histogram",
     "bipartite_check",
     "build_unitary",
     "circuit_cost",
-    "compose",
     "cost_report",
     "distance",
     "enumerate_ch",
@@ -96,25 +89,17 @@ __all__ = [
     "expand_circuit",
     "expand_one_garbage",
     "gate_cost",
-    "gate_perm",
     "generator_set",
-    "hamming",
     "hamming_distance_audit",
     "hc_bidirectional",
     "hc_synthesize",
-    "identity",
-    "inverse",
-    "invert_circuit",
     "ladder_borrowed",
     "ladder_zeroed",
     "max_gate_cost",
     "mmd_synthesize",
     "parse_circuit",
-    "rank",
-    "reverse_perm",
     "split_one_borrowed",
     "synthesis_gate_bound",
-    "unrank",
     "verify_circuit_equivalence",
     "verify_elementary",
     "verify_equivalence",

@@ -14,8 +14,11 @@ about 40 KB at n = 3.  The hard cap is n <= 3: at n = 4 there are
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .gates import GeneratorSet, generator_set
 from .perm import TruthVector, popcount, rank_entries, unrank_entries
@@ -30,18 +33,11 @@ _REFUSAL = (
 DUMP_MAGIC = b"RSYNBFS\x00"
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def _check_lines(n: int) -> None:
     if n < 1:
         raise ValueError(f"line count must be >= 1, got {n}")
     if n > BFS_MAX_LINES:
-        raise ValueError(_REFUSAL.format(n=n, count=_factorial(1 << n)))
+        raise ValueError(_REFUSAL.format(n=n, count=math.factorial(1 << n)))
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ class DistanceHistogram:
 
     label: str
     n: int
-    counts: dict[int, int]
+    counts: Mapping[int, int]  # read-only
     diameter: int
     average: float
     total: int
@@ -65,7 +61,7 @@ class DistanceHistogram:
 class BfsResult:
     label: str
     n: int
-    distances: bytearray  # rank-indexed
+    distances: bytes  # rank-indexed
     histogram: DistanceHistogram
     bipartite: bool
     odd_walk: tuple[TruthVector, ...] | None
@@ -78,7 +74,7 @@ class BfsResult:
     def dump(self) -> bytes:
         """Binary distance table: 16-byte header then u8 distances by rank."""
         header = DUMP_MAGIC + bytes([self.n, ord(self.label)]) + b"\x00" * 6
-        return header + bytes(self.distances)
+        return header + self.distances
 
 
 _CACHE: dict[tuple[str, int], BfsResult] = {}
@@ -100,7 +96,7 @@ def bfs(gen_set: GeneratorSet) -> BfsResult:
 def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
     n = gen_set.n
     size = 1 << n
-    total = _factorial(size)
+    total = math.factorial(size)
     gen_perms = [tuple(p.entries) for p in gen_set.perms()]
 
     unseen = 255
@@ -130,7 +126,7 @@ def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
         frontier = nxt
         depth += 1
 
-    counts = dict(Counter(dist))
+    counts = MappingProxyType(dict(Counter(dist)))
     if unseen in counts:
         raise RuntimeError("generator set did not reach the whole group")
     diameter = max(counts)
@@ -140,7 +136,7 @@ def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
     odd_walk = None
     if conflict is not None:
         odd_walk = _closed_walk(conflict, parent_rank, dist, size)
-    return BfsResult(gen_set.label, n, dist, histogram, conflict is None, odd_walk)
+    return BfsResult(gen_set.label, n, bytes(dist), histogram, conflict is None, odd_walk)
 
 
 def _closed_walk(
@@ -269,10 +265,14 @@ def load_dump(data: bytes) -> tuple[str, int, bytes]:
         raise ValueError("not a distance dump (bad magic)")
     n = data[8]
     label = chr(data[9])
+    if not 1 <= n <= BFS_MAX_LINES:
+        raise ValueError(f"line count {n} in dump header out of range [1, {BFS_MAX_LINES}]")
     if label not in ("I", "H"):
         raise ValueError(f"bad generator label {label!r} in dump header")
+    if any(data[10:16]):
+        raise ValueError("reserved dump header bytes are not zero")
     body = data[16:]
-    expected = _factorial(1 << n)
+    expected = math.factorial(1 << n)
     if len(body) != expected:
         raise ValueError(f"dump has {len(body)} distances, expected {expected}")
     return label, n, body

@@ -1,8 +1,9 @@
 """Command-line front end for synthesis, costing, decomposition and BFS.
 
 Exit codes: 0 on success, 1 on a domain error (bad permutation file, policy
-or size mismatch, line cap), 2 on a usage error.  All output for a given
-input is byte-identical across runs.
+or size mismatch, line cap), 2 on a usage error, 3 on an internal error (a
+result that failed its own re-verification).  All output for a given input
+is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .mmd import mmd_synthesize
 from .perm import TruthVector, all_truth_vectors
 
 ALGORITHMS = ("mmd", "hc-right", "hc-left", "hc-bi")
-
-ENUMERATE_MAX_LINES = 3
 
 
 def _read_text(path: str) -> str:
@@ -71,7 +70,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     f = _load_vector(args.input)
     circuit = _synthesize(args.algo, f)
     if not circuit.apply(f).is_identity():
-        raise RuntimeError("internal error: cascade does not map the input to identity")
+        raise RuntimeError("cascade does not map the input to identity")
     if args.direction == "from-identity":
         circuit = circuit.inverse()
     _write_text(args.output, circuit.to_text())
@@ -100,10 +99,10 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= ENUMERATE_MAX_LINES:
+    if not 1 <= args.n <= BFS_MAX_LINES:
         raise ValueError(
             f"enumeration visits (2^n)! permutations; n = {args.n} is beyond "
-            f"desk scale (cap {ENUMERATE_MAX_LINES})"
+            f"desk scale (cap {BFS_MAX_LINES})"
         )
     histogram: Counter[int] = Counter()
     for tv in all_truth_vectors(args.n):
@@ -137,10 +136,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_bfs(args: argparse.Namespace) -> int:
-    if args.n > BFS_MAX_LINES and args.force:
-        # The flag exists for forward compatibility; the state counts stay
-        # prohibitive, so the cap still applies.
-        pass
     result = bfs(generator_set(args.set, args.n))
     hist = result.histogram
     if args.csv:
@@ -281,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

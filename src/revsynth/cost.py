@@ -72,19 +72,7 @@ def circuit_cost(
 
 def max_gate_cost(n: int, policy: GarbagePolicy) -> int:
     """Largest cost any single gate on n lines can have under the policy."""
-    if policy is GarbagePolicy.ZERO:
-        if n == 1:
-            return 1
-        if n == 2:
-            return 2
-        if n == 3:
-            return 7
-        return (1 << n) - 3 + 2 * (n - 1)
-    if n < 5:
-        raise ValueError(
-            f"garbage policy {policy.value!r} is defined only for gate size >= 5"
-        )
-    return 24 * n - 86 if policy is GarbagePolicy.ONE else 10 * n - 23
+    return max(cost_of(n, m, policy) for m in range(n))
 
 
 def synthesis_gate_bound(n: int) -> int:
@@ -100,37 +88,32 @@ def worst_case_qc(
 ) -> int:
     """Worst-case quantum cost of a synthesized circuit on n lines.
 
-    The gate-count bound (n-1)*2^n + 1 is multiplied by the per-gate cost of
+    The gate-count bound (n-1)*2^n + 1 is multiplied by :func:`cost_of` for
     a size-n library gate.  ``graph`` selects the library: "I" prices
     all-positive gates, "H" full-control mixed-polarity gates, for which the
-    zero-garbage policy needs the negative-control count ``m``.
+    zero-garbage policy needs the negative-control count ``m`` and the
+    garbage policies price the costlier mixed-polarity form.
     """
     if graph not in ("I", "H"):
         raise ValueError(f"unknown graph {graph!r} (expected 'I' or 'H')")
     if n < 1:
         raise ValueError(f"line count must be >= 1, got {n}")
-    bound = synthesis_gate_bound(n)
     if policy is GarbagePolicy.ZERO:
         if n < 2:
             raise ValueError("zero-garbage cost formula needs n >= 2")
-        if graph == "I":
-            factor = (1 << n) - 3
-        else:
+        if graph == "H":
             if m is None:
                 raise ValueError("graph H with zero garbage needs the negative-control count m")
             if not 0 <= m <= n - 1:
                 raise ValueError(f"m must be in [0, {n - 1}], got {m}")
-            factor = (1 << n) - 3 + 2 * m
+        negatives = m if graph == "H" else 0
     else:
         if n < 5:
             raise ValueError(
                 f"garbage policy {policy.value!r} is defined only for n >= 5"
             )
-        if policy is GarbagePolicy.ONE:
-            factor = 24 * n - 88 if graph == "I" else 24 * n - 86
-        else:
-            factor = 10 * n - 25 if graph == "I" else 10 * n - 23
-    return bound * factor
+        negatives = 1 if graph == "H" else 0
+    return synthesis_gate_bound(n) * cost_of(n, negatives, policy)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, Gate
+from .gates import LINE_NAMES, Circuit, Gate, fold_words
 
 VERIFY_MAX_LINES = 22
 
@@ -59,6 +59,17 @@ class AncillaCircuit:
         return self.principal_lines + self.ancilla_lines
 
 
+def _widened(g: Gate, ancilla: int) -> int:
+    """Line count of an expansion of ``g`` that adds ``ancilla`` helper lines."""
+    total = g.n + ancilla
+    if total > len(LINE_NAMES):
+        raise ValueError(
+            f"size-{g.size} gate on {g.n} lines needs {ancilla} ancilla lines, "
+            f"{total} in all; the limit is {len(LINE_NAMES)} lines"
+        )
+    return total
+
+
 def _sorted_controls(g: Gate) -> list[int]:
     return sorted(g.controls)
 
@@ -73,7 +84,7 @@ def ladder_zeroed(g: Gate) -> AncillaCircuit:
     if s < 4:
         raise ValueError(f"zeroed ladder needs gate size >= 4, got {s}")
     xs = _sorted_controls(g)
-    total = g.n + (s - 3)
+    total = _widened(g, s - 3)
     anc = list(range(g.n, total))
     neg = g.negated
 
@@ -136,7 +147,7 @@ def ladder_borrowed(g: Gate) -> AncillaCircuit:
     s = g.size
     if s < 5:
         raise ValueError(f"borrowed ladder needs gate size >= 5, got {s}")
-    total = g.n + (s - 3)
+    total = _widened(g, s - 3)
     borrowed = list(range(g.n, total))
     gates = _borrowed_network(total, g.target, _sorted_controls(g), g.negated, borrowed)
     return AncillaCircuit(g.n, s - 3, AncillaMode.BORROWED_RESTORED, Circuit(total, gates))
@@ -176,7 +187,7 @@ def expand_one_garbage(g: Gate) -> AncillaCircuit:
     if s < 5:
         raise ValueError(f"one-garbage expansion needs gate size >= 5, got {s}")
     has_free = len(g.controls) + 1 < g.n
-    total = g.n if has_free else g.n + 1
+    total = _widened(g, 0 if has_free else 1)
     lifted = Gate(total, g.target, g.controls, g.negated)
     sequence: list[Gate] = []
     for sub in split_one_borrowed(lifted):
@@ -213,52 +224,19 @@ class VerificationResult:
         return self.equivalent
 
 
-def _fold_gates(state: np.ndarray, gates) -> np.ndarray:
-    for g in gates:
-        cm = np.uint32(g.control_mask)
-        vm = np.uint32(g.value_mask)
-        flip = np.uint32(1 << g.target)
-        state = state ^ np.where((state & cm) == vm, flip, np.uint32(0))
-    return state
-
-
 def verify_equivalence(spec: Gate, impl: AncillaCircuit) -> VerificationResult:
+    """:func:`verify_circuit_equivalence` against the one-gate circuit ``spec``."""
+    return verify_circuit_equivalence(Circuit(spec.n, (spec,)), impl)
+
+
+def verify_circuit_equivalence(spec: Circuit, impl: AncillaCircuit) -> VerificationResult:
     """Exhaustively check that ``impl`` realizes ``spec`` and restores ancilla.
 
     Simulates every input word over the principal + ancilla lines (ancilla
     pinned to 0 in zeroed mode), comparing the principal output with the
-    gate's own action and requiring the ancilla bits back in their initial
-    state.  Returns the first failing input word on disagreement.
+    reference circuit's action and requiring the ancilla bits back in their
+    initial state.  Returns the first failing input word on disagreement.
     """
-    if spec.n != impl.principal_lines:
-        raise ValueError(
-            f"gate spans {spec.n} lines, circuit declares {impl.principal_lines}"
-        )
-    total = impl.total_lines
-    if total > VERIFY_MAX_LINES:
-        raise ValueError(f"{total} lines exceeds the {VERIFY_MAX_LINES}-line verification budget")
-    if impl.ancilla_mode is AncillaMode.ZEROED_RESTORED:
-        words = np.arange(1 << spec.n, dtype=np.uint32)
-    else:
-        words = np.arange(1 << total, dtype=np.uint32)
-    state = _fold_gates(words, impl.gates.gates)
-
-    pmask = np.uint32((1 << spec.n) - 1)
-    principal = words & pmask
-    cm = np.uint32(spec.control_mask)
-    vm = np.uint32(spec.value_mask)
-    flip = np.uint32(1 << spec.target)
-    expected = principal ^ np.where((principal & cm) == vm, flip, np.uint32(0))
-
-    ok = ((state & pmask) == expected) & ((state >> spec.n) == (words >> spec.n))
-    if bool(ok.all()):
-        return VerificationResult(True, len(words))
-    bad = int(np.argmin(ok))
-    return VerificationResult(False, len(words), int(words[bad]))
-
-
-def verify_circuit_equivalence(spec: Circuit, impl: AncillaCircuit) -> VerificationResult:
-    """Like :func:`verify_equivalence` but against a whole reference circuit."""
     if spec.n != impl.principal_lines:
         raise ValueError(
             f"circuit spans {spec.n} lines, expansion declares {impl.principal_lines}"
@@ -270,10 +248,10 @@ def verify_circuit_equivalence(spec: Circuit, impl: AncillaCircuit) -> Verificat
         words = np.arange(1 << spec.n, dtype=np.uint32)
     else:
         words = np.arange(1 << total, dtype=np.uint32)
-    state = _fold_gates(words, impl.gates.gates)
+    state = fold_words(words, impl.gates.gates)
 
     pmask = np.uint32((1 << spec.n) - 1)
-    expected = _fold_gates(words & pmask, spec.gates)
+    expected = fold_words(words & pmask, spec.gates)
     ok = ((state & pmask) == expected) & ((state >> spec.n) == (words >> spec.n))
     if bool(ok.all()):
         return VerificationResult(True, len(words))

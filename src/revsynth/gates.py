@@ -19,7 +19,9 @@ Both families have n * 2^(n-1) members and every member is an involution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .perm import TruthVector
 
@@ -105,30 +107,17 @@ class Gate:
 
     # -- semantics -----------------------------------------------------------
 
-    def fires(self, value: int) -> bool:
-        return value & self.control_mask == self.value_mask
-
     def apply_value(self, value: int) -> int:
-        if value & self.control_mask == self.value_mask:
-            return value ^ (1 << self.target)
-        return value
+        return fold([value], (self,))[0]
 
     def apply(self, tv: TruthVector) -> TruthVector:
         if tv.n != self.n:
             raise ValueError(f"line counts differ: gate {self.n}, vector {tv.n}")
-        cm = self.control_mask
-        vm = self.value_mask
-        flip = 1 << self.target
-        return TruthVector(v ^ flip if v & cm == vm else v for v in tv.entries)
+        return TruthVector(fold(tv.entries, (self,)))
 
     def perm(self) -> TruthVector:
         """The permutation this gate realizes (its action on the identity)."""
-        cm = self.control_mask
-        vm = self.value_mask
-        flip = 1 << self.target
-        return TruthVector(
-            v ^ flip if v & cm == vm else v for v in range(1 << self.n)
-        )
+        return TruthVector(fold(range(1 << self.n), (self,)))
 
     def spec(self) -> str:
         """Gate in circuit-file notation, e.g. ``t3 a,c',b``."""
@@ -141,6 +130,35 @@ class Gate:
 
     def __str__(self) -> str:
         return self.spec()
+
+
+# -- the gate-action kernel ----------------------------------------------------
+#
+# A gate flips its target bit in every value v with v & control_mask equal to
+# value_mask.  These two folds are the only places that rule is evaluated.
+
+def fold(values: Sequence[int], gates: Iterable[Gate]) -> Sequence[int]:
+    """Apply ``gates`` in order to every value of a plain integer sequence.
+
+    Returns a new list, or ``values`` itself when ``gates`` is empty.
+    """
+    for g in gates:
+        cm = g.control_mask
+        vm = g.value_mask
+        flip = 1 << g.target
+        values = [v ^ flip if v & cm == vm else v for v in values]
+    return values
+
+
+def fold_words(words: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
+    """:func:`fold` over a numpy ``uint32`` word array (up to 2^22 words)."""
+    zero = np.uint32(0)
+    for g in gates:
+        cm = np.uint32(g.control_mask)
+        vm = np.uint32(g.value_mask)
+        flip = np.uint32(1 << g.target)
+        words = words ^ np.where((words & cm) == vm, flip, zero)
+    return words
 
 
 def not_gate(n: int, target: int) -> Gate:
@@ -187,16 +205,7 @@ class Circuit:
     def apply(self, tv: TruthVector) -> TruthVector:
         if tv.n != self.n:
             raise ValueError(f"line counts differ: circuit {self.n}, vector {tv.n}")
-        return TruthVector(self.apply_entries(list(tv.entries)))
-
-    def apply_entries(self, entries: list[int]) -> list[int]:
-        """Fold the gates over a raw entry list (no validation)."""
-        for g in self.gates:
-            cm = g.control_mask
-            vm = g.value_mask
-            flip = 1 << g.target
-            entries = [v ^ flip if v & cm == vm else v for v in entries]
-        return entries
+        return TruthVector(fold(tv.entries, self.gates))
 
     def inverse(self) -> "Circuit":
         """Reversed cascade; every gate is self-inverse, so gates are reused."""
@@ -209,10 +218,6 @@ class Circuit:
         lines = [f".n {self.n}"]
         lines.extend(g.spec() for g in self.gates)
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Circuit":
-        return parse_circuit(text)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -283,24 +288,6 @@ def _parse_gate(line: str, n: int, lineno: int) -> Gate:
         if negative:
             negated.add(idx)
     return Gate(n, line_index(target_op), frozenset(controls), frozenset(negated))
-
-
-# -- spec-style free functions ------------------------------------------------
-
-def apply_gate(g: Gate, tv: TruthVector) -> TruthVector:
-    return g.apply(tv)
-
-
-def gate_perm(g: Gate) -> TruthVector:
-    return g.perm()
-
-
-def apply_circuit(c: Circuit, tv: TruthVector) -> TruthVector:
-    return c.apply(tv)
-
-
-def invert_circuit(c: Circuit) -> Circuit:
-    return c.inverse()
 
 
 # -- generating sets -----------------------------------------------------------

@@ -9,19 +9,20 @@ reverse it realizes the function from the identity.  Gate count never exceeds
 
 from __future__ import annotations
 
-from .gates import Circuit, Gate
+from .gates import Circuit, Gate, fold
 from .perm import TruthVector
 
 
 def mmd_synthesize(f: TruthVector) -> Circuit:
     """Emit all-positive-control gates whose cascade maps ``f`` to identity.
 
-    Row 0 is fixed first with NOT gates on every set bit of f(0).  For each
-    later row i with value v != i at the start of the step, bits present in
-    i but missing in v are switched on (one gate per bit, ascending target,
-    controls on v's set bits), then bits present in v but absent in i are
-    switched off (ascending target, controls on the set bits of i).  Rows
-    below i can never match those controls, so fixed rows stay fixed.
+    Rows are fixed in order.  For each row i with value v != i at the start
+    of the step, bits present in i but missing in v are switched on (one
+    gate per bit, ascending target, controls on v's set bits), then bits
+    present in v but absent in i are switched off (ascending target,
+    controls on the set bits of i).  Rows below i can never match those
+    controls, so fixed rows stay fixed.  Row 0 thus gets one NOT gate for
+    every set bit of f(0).
 
     All of a step's controls come from the value as the step began, not from
     the partly rewritten value; the per-gate alternative yields the same
@@ -33,42 +34,25 @@ def mmd_synthesize(f: TruthVector) -> Circuit:
     entries = list(f.entries)
     gates: list[Gate] = []
 
-    v0 = entries[0]
-    if v0:
-        for j in range(n):
-            if v0 >> j & 1:
-                gates.append(Gate(n, j))
-                flip = 1 << j
-                entries = [x ^ flip for x in entries]
-
-    for i in range(1, size):
+    for i in range(size):
         v = entries[i]
         if v == i:
             continue
+        step = len(gates)
         add_bits = i & ~v
         drop_bits = v & ~i
         if add_bits:
             controls = frozenset(l for l in range(n) if v >> l & 1)
             for j in range(n):
                 if add_bits >> j & 1:
-                    gate = Gate(n, j, controls)
-                    gates.append(gate)
-                    entries = _apply(entries, gate)
+                    gates.append(Gate(n, j, controls))
         if drop_bits:
             controls = frozenset(l for l in range(n) if i >> l & 1)
             for k in range(n):
                 if drop_bits >> k & 1:
-                    gate = Gate(n, k, controls)
-                    gates.append(gate)
-                    entries = _apply(entries, gate)
+                    gates.append(Gate(n, k, controls))
+        entries = fold(entries, gates[step:])
 
     if entries != list(range(size)):
         raise RuntimeError("synthesis failed to reach the identity")
     return Circuit(n, tuple(gates))
-
-
-def _apply(entries: list[int], gate: Gate) -> list[int]:
-    cm = gate.control_mask
-    vm = gate.value_mask
-    flip = 1 << gate.target
-    return [x ^ flip if x & cm == vm else x for x in entries]

@@ -189,34 +189,6 @@ def unrank_entries(r: int, k: int) -> list[int]:
     return [remaining.pop(d) for d in digits]
 
 
-def identity(n: int) -> TruthVector:
-    return TruthVector.identity(n)
-
-
-def reverse_perm(n: int) -> TruthVector:
-    return TruthVector.reverse(n)
-
-
-def compose(c: TruthVector, g: TruthVector) -> TruthVector:
-    return c.compose(g)
-
-
-def inverse(p: TruthVector) -> TruthVector:
-    return p.inverse()
-
-
-def hamming(p: TruthVector, s: TruthVector) -> int:
-    return p.hamming(s)
-
-
-def rank(p: TruthVector) -> int:
-    return p.rank()
-
-
-def unrank(r: int, n: int) -> TruthVector:
-    return TruthVector.unrank(r, n)
-
-
 def random_truth_vector(n: int, rng) -> TruthVector:
     """Uniformly random member of S_{2^n} drawn from ``rng`` (random.Random)."""
     values = list(range(1 << n))

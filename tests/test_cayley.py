@@ -1,10 +1,12 @@
 """Exact BFS over both gate-library graphs: histograms, bipartiteness, walks."""
 
 import random
+import time
 
 import pytest
 
 from revsynth.cayley import (
+    DUMP_MAGIC,
     bfs,
     bfs_histogram,
     bipartite_check,
@@ -211,6 +213,37 @@ def test_dump_round_trip():
     assert list(distances) == list(result.distances)
     with pytest.raises(ValueError, match="magic"):
         load_dump(b"garbage!")
+
+
+def test_shared_bfs_results_are_read_only():
+    gen = enumerate_ci(2)
+    tv = gen.perms()[0]
+    before = distance(tv, gen)
+    result = bfs(gen)
+    with pytest.raises(TypeError):
+        result.distances[tv.rank()] = 99
+    with pytest.raises(TypeError):
+        result.histogram.counts[0] = 99
+    assert distance(tv, gen) == before == 1
+    assert bfs(gen).histogram.counts == {0: 1, 1: 4, 2: 9, 3: 7, 4: 3}
+
+
+def test_load_dump_rejects_hostile_line_count_quickly():
+    blob = DUMP_MAGIC + bytes([22, ord("I")]) + bytes(6) + bytes(10)
+    assert len(blob) == 26
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="line count 22"):
+        load_dump(blob)
+    assert time.perf_counter() - started < 0.5
+    with pytest.raises(ValueError, match="line count 0"):
+        load_dump(DUMP_MAGIC + bytes([0, ord("I")]) + bytes(6))
+
+
+def test_load_dump_rejects_nonzero_reserved_bytes():
+    blob = bytearray(bfs(enumerate_ci(2)).dump())
+    blob[12] = 1
+    with pytest.raises(ValueError, match="reserved"):
+        load_dump(bytes(blob))
 
 
 def test_csv_format():

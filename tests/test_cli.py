@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
+from revsynth import cli
 from revsynth.cli import main
-from revsynth.gates import parse_circuit
+from revsynth.gates import Circuit, parse_circuit
 from revsynth.perm import TruthVector
 
 
@@ -125,6 +126,24 @@ def test_bfs_with_csv_and_dump(tmp_path, capsys):
 def test_bfs_rejects_sixteen_factorial(capsys):
     assert main(["bfs", "--set", "I", "--n", "4", "--force"]) == 1
     assert "20922789888000" in capsys.readouterr().err
+
+
+def test_internal_error_exits_three(monkeypatch, capsys, example_vector):
+    monkeypatch.setattr(cli, "mmd_synthesize", lambda f: Circuit(f.n))
+    assert main(["synth", "--algo", "mmd", "--in", str(example_vector)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_decompose_beyond_line_limit_names_ancilla(tmp_path, capsys):
+    circ = tmp_path / "t22.tfc"
+    circ.write_text(".n 22\nt22 " + ",".join("abcdefghijklmnopqrstuv") + "\n")
+    assert main(["decompose", "--circuit", str(circ), "--strategy", "zeroed"]) == 1
+    err = capsys.readouterr().err
+    assert "19 ancilla lines" in err
+    assert "limit is 24 lines" in err
 
 
 def test_decompose_with_stamp(tmp_path):

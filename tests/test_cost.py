@@ -144,6 +144,14 @@ def test_worst_case_rejections():
         worst_case_qc(1, "I", ZERO)
 
 
+def test_worst_case_h_zero_small_sizes_use_the_cost_table():
+    # Size-3 gates with two negative controls cost 7 and a negative-control
+    # CNOT costs 2, not the s >= 4 formula 2^s - 3 + 2m (9 and 3).
+    assert worst_case_qc(3, "H", ZERO, m=2) == 17 * 7 == 119
+    assert worst_case_qc(3, "H", ZERO, m=2) == cost_report(Circuit(3), ZERO).qc_bound
+    assert worst_case_qc(2, "H", ZERO, m=1) == 5 * 2 == 10
+
+
 def test_max_gate_cost():
     assert max_gate_cost(1, ZERO) == 1
     assert max_gate_cost(2, ZERO) == 2

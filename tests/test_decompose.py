@@ -211,6 +211,15 @@ def test_verify_rejects_mismatch_and_budget():
         verify_equivalence(Gate(20, 0, frozenset(range(1, 20))), wide)
 
 
+def test_expansions_beyond_line_limit_name_the_ancilla():
+    wide = mc_gate(22, 21)
+    for expander in (ladder_zeroed, ladder_borrowed):
+        with pytest.raises(ValueError, match="needs 19 ancilla lines, 41 in all; the limit is 24"):
+            expander(wide)
+    with pytest.raises(ValueError, match="needs 1 ancilla lines, 25 in all; the limit is 24"):
+        expand_one_garbage(mc_gate(24, 0))
+
+
 def test_ancilla_circuit_validation():
     with pytest.raises(ValueError, match="span"):
         AncillaCircuit(3, 1, AncillaMode.ZEROED_RESTORED, Circuit(3))
