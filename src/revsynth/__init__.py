@@ -10,12 +10,9 @@ symmetric group.
 
 from .cayley import (
     BfsResult,
-    BipartiteReport,
     DistanceHistogram,
     HammingAuditReport,
     bfs,
-    bfs_histogram,
-    bipartite_check,
     distance,
     hamming_distance_audit,
 )
@@ -53,7 +50,6 @@ from .gates import (
     GeneratorSet,
     enumerate_ch,
     enumerate_ci,
-    generator_set,
     parse_circuit,
 )
 from .hypercube import hc_bidirectional, hc_synthesize
@@ -66,7 +62,6 @@ __all__ = [
     "AncillaCircuit",
     "AncillaMode",
     "BfsResult",
-    "BipartiteReport",
     "Circuit",
     "CostReport",
     "DistanceHistogram",
@@ -78,8 +73,6 @@ __all__ = [
     "TruthVector",
     "VerificationResult",
     "bfs",
-    "bfs_histogram",
-    "bipartite_check",
     "build_unitary",
     "circuit_cost",
     "cost_report",
@@ -89,7 +82,6 @@ __all__ = [
     "expand_circuit",
     "expand_one_garbage",
     "gate_cost",
-    "generator_set",
     "hamming_distance_audit",
     "hc_bidirectional",
     "hc_synthesize",

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .gates import GeneratorSet, generator_set
-from .perm import TruthVector, popcount, rank_entries, unrank_entries
+from .gates import GeneratorSet
+from .perm import TruthVector, rank_entries, unrank_entries
 
 BFS_MAX_LINES = 3
 
 _REFUSAL = (
-    "BFS over {n} lines needs (2^{n})! = {count} vertices; "
+    "BFS over {n} lines needs (2^{n})! >= 16! = 20922789888000 vertices; "
     "only n <= 3 (40320 vertices) is within desk scale"
 )
 
@@ -37,7 +37,7 @@ def _check_lines(n: int) -> None:
     if n < 1:
         raise ValueError(f"line count must be >= 1, got {n}")
     if n > BFS_MAX_LINES:
-        raise ValueError(_REFUSAL.format(n=n, count=math.factorial(1 << n)))
+        raise ValueError(_REFUSAL.format(n=n))
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def bfs(gen_set: GeneratorSet) -> BfsResult:
     """Single-source BFS from the identity over the generator set's graph.
 
     Neighbor order follows the set's canonical member order, so results are
-    deterministic.  Results are cached per (label, n).
+    deterministic.  Results are cached per (label, n), which fix the members.
     """
     _check_lines(gen_set.n)
     key = (gen_set.label, gen_set.n)
@@ -161,28 +161,9 @@ def _closed_walk(
     return tuple(TruthVector(unrank_entries(r, size)) for r in walk)
 
 
-def bfs_histogram(gen_set: GeneratorSet) -> DistanceHistogram:
-    return bfs(gen_set).histogram
-
-
 def distance(tv: TruthVector, gen_set: GeneratorSet) -> int:
     """Length of a shortest gate cascade realizing ``tv`` from the library."""
     return bfs(gen_set).distance_of(tv)
-
-
-@dataclass(frozen=True)
-class BipartiteReport:
-    bipartite: bool
-    odd_walk: tuple[TruthVector, ...] | None
-
-    def __bool__(self) -> bool:
-        return self.bipartite
-
-
-def bipartite_check(gen_set: GeneratorSet) -> BipartiteReport:
-    """Two-color the graph; on failure return an explicit odd closed walk."""
-    result = bfs(gen_set)
-    return BipartiteReport(result.bipartite, result.odd_walk)
 
 
 def permutation_parity(entries) -> int:
@@ -229,7 +210,7 @@ class HammingAuditReport:
 def hamming_distance_audit(n: int = 3) -> HammingAuditReport:
     """Verify the Hamming-distance sandwich on the full-control graph."""
     _check_lines(n)
-    result = bfs(generator_set("H", n))
+    result = bfs(GeneratorSet("H", n))
     size = 1 << n
     violations = 0
     lower_slacks: list[int] = []
@@ -242,7 +223,7 @@ def hamming_distance_audit(n: int = 3) -> HammingAuditReport:
             parity_ok = False
         if r == 0:
             continue
-        dh = sum(popcount(v ^ i) for i, v in enumerate(entries))
+        dh = sum((v ^ i).bit_count() for i, v in enumerate(entries))
         if not (dh <= 2 * d < 2 * dh):
             violations += 1
         lower_slacks.append(2 * d - dh)

@@ -23,7 +23,7 @@ from .decompose import (
     verify_circuit_equivalence,
 )
 from .elementary import verify_elementary
-from .gates import Circuit, generator_set, parse_circuit
+from .gates import Circuit, GeneratorSet, parse_circuit
 from .hypercube import hc_bidirectional, hc_synthesize
 from .mmd import mmd_synthesize
 from .perm import TruthVector, all_truth_vectors
@@ -136,7 +136,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_bfs(args: argparse.Namespace) -> int:
-    result = bfs(generator_set(args.set, args.n))
+    result = bfs(GeneratorSet(args.set, args.n))
     hist = result.histogram
     if args.csv:
         _write_text(args.csv, hist.to_csv())

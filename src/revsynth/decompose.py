@@ -70,12 +70,23 @@ def _widened(g: Gate, ancilla: int) -> int:
     return total
 
 
-def _sorted_controls(g: Gate) -> list[int]:
-    return sorted(g.controls)
+def _chain(g: Gate, total: int, helpers) -> tuple[list[Gate], Gate]:
+    """The helper AND-chain of ``g`` and the gate that fires its target.
 
-
-def _sub_negated(negated: frozenset[int], lines) -> frozenset[int]:
-    return negated & frozenset(lines)
+    The links AND the two lowest controls into ``helpers[0]``, then
+    ``helpers[k - 1]`` with sorted control ``k + 1`` into ``helpers[k]``;
+    the fire gate flips the target from the last helper and the last
+    control.  Uses len(g.controls) - 2 helpers.
+    """
+    xs = sorted(g.controls)
+    neg = g.negated
+    links = [Gate(total, helpers[0], frozenset(xs[:2]), neg & frozenset(xs[:2]))]
+    links += [
+        Gate(total, helpers[k], frozenset({helpers[k - 1], xs[k + 1]}), neg & {xs[k + 1]})
+        for k in range(1, len(helpers))
+    ]
+    fire = Gate(total, g.target, frozenset({helpers[-1], xs[-1]}), neg & {xs[-1]})
+    return links, fire
 
 
 def ladder_zeroed(g: Gate) -> AncillaCircuit:
@@ -83,63 +94,21 @@ def ladder_zeroed(g: Gate) -> AncillaCircuit:
     s = g.size
     if s < 4:
         raise ValueError(f"zeroed ladder needs gate size >= 4, got {s}")
-    xs = _sorted_controls(g)
     total = _widened(g, s - 3)
-    anc = list(range(g.n, total))
-    neg = g.negated
-
-    compute = [Gate(total, anc[0], frozenset(xs[:2]), _sub_negated(neg, xs[:2]))]
-    for k in range(1, s - 3):
-        compute.append(
-            Gate(
-                total,
-                anc[k],
-                frozenset({anc[k - 1], xs[k + 1]}),
-                _sub_negated(neg, [xs[k + 1]]),
-            )
-        )
-    fire = Gate(
-        total,
-        g.target,
-        frozenset({anc[-1], xs[-1]}),
-        _sub_negated(neg, [xs[-1]]),
-    )
-    gates = compute + [fire] + compute[::-1]
+    links, fire = _chain(g, total, range(g.n, total))
+    gates = links + [fire] + links[::-1]
     return AncillaCircuit(g.n, s - 3, AncillaMode.ZEROED_RESTORED, Circuit(total, gates))
 
 
-def _borrowed_network(
-    total: int,
-    target: int,
-    xs: list[int],
-    negated: frozenset[int],
-    borrowed: list[int],
-) -> list[Gate]:
-    """Doubled-V borrowed-bit network computing the conjunction of ``xs``.
+def _borrowed_network(g: Gate, total: int, helpers) -> list[Gate]:
+    """Doubled-V borrowed-bit network realizing ``g`` over ``total`` lines.
 
-    ``borrowed`` supplies len(xs) - 2 helper lines with arbitrary contents;
-    all are restored.  Works from 3 controls up (one borrowed line).
+    ``helpers`` are len(g.controls) - 2 lines with arbitrary contents, all
+    restored: fire, chain down to ``helpers[0]`` and back up, twice.  Works
+    from 3 controls up (one borrowed line).
     """
-    if len(borrowed) != len(xs) - 2:
-        raise ValueError(f"need {len(xs) - 2} borrowed lines, got {len(borrowed)}")
-    top = Gate(
-        total,
-        target,
-        frozenset({xs[-1], borrowed[-1]}),
-        _sub_negated(negated, [xs[-1]]),
-    )
-    tb = [Gate(total, borrowed[0], frozenset(xs[:2]), _sub_negated(negated, xs[:2]))]
-    for k in range(1, len(borrowed)):
-        tb.append(
-            Gate(
-                total,
-                borrowed[k],
-                frozenset({borrowed[k - 1], xs[k + 1]}),
-                _sub_negated(negated, [xs[k + 1]]),
-            )
-        )
-    chain = tb[:0:-1] + tb  # descending to tb[0], then back up
-    return [top] + chain + [top] + chain
+    links, fire = _chain(g, total, helpers)
+    return ([fire] + links[:0:-1] + links) * 2
 
 
 def ladder_borrowed(g: Gate) -> AncillaCircuit:
@@ -148,8 +117,7 @@ def ladder_borrowed(g: Gate) -> AncillaCircuit:
     if s < 5:
         raise ValueError(f"borrowed ladder needs gate size >= 5, got {s}")
     total = _widened(g, s - 3)
-    borrowed = list(range(g.n, total))
-    gates = _borrowed_network(total, g.target, _sorted_controls(g), g.negated, borrowed)
+    gates = _borrowed_network(g, total, range(g.n, total))
     return AncillaCircuit(g.n, s - 3, AncillaMode.BORROWED_RESTORED, Circuit(total, gates))
 
 
@@ -167,11 +135,11 @@ def split_one_borrowed(g: Gate) -> tuple[Gate, Gate, Gate, Gate]:
     if not free:
         raise ValueError("split needs a free line to borrow")
     borrow = free[0]
-    xs = _sorted_controls(g)
+    xs = sorted(g.controls)
     first = (s + 2) // 2
-    s1, s2 = xs[:first], xs[first:]
-    g1 = Gate(g.n, borrow, frozenset(s1), _sub_negated(g.negated, s1))
-    g2 = Gate(g.n, g.target, frozenset(s2) | {borrow}, _sub_negated(g.negated, s2))
+    s1, s2 = frozenset(xs[:first]), frozenset(xs[first:])
+    g1 = Gate(g.n, borrow, s1, g.negated & s1)
+    g2 = Gate(g.n, g.target, s2 | {borrow}, g.negated & s2)
     return (g1, g2, g1, g2)
 
 
@@ -201,11 +169,7 @@ def expand_one_garbage(g: Gate) -> AncillaCircuit:
                 f"sub-gate of size {sub.size} needs {need} borrowed lines, "
                 f"only {len(pool)} free"
             )
-        sequence.extend(
-            _borrowed_network(
-                total, sub.target, _sorted_controls(sub), sub.negated, pool[:need]
-            )
-        )
+        sequence.extend(_borrowed_network(sub, total, pool[:need]))
     return AncillaCircuit(
         g.n,
         total - g.n,
@@ -259,7 +223,13 @@ def verify_circuit_equivalence(spec: Circuit, impl: AncillaCircuit) -> Verificat
     return VerificationResult(False, len(words), int(words[bad]))
 
 
-DECOMPOSE_STRATEGIES = ("zeroed", "borrowed", "one-garbage")
+_STRATEGIES = {
+    "zeroed": (ladder_zeroed, 4, AncillaMode.ZEROED_RESTORED),
+    "borrowed": (ladder_borrowed, 5, AncillaMode.BORROWED_RESTORED),
+    "one-garbage": (expand_one_garbage, 5, AncillaMode.BORROWED_RESTORED),
+}  # name -> (expander, smallest gate size it expands, ancilla mode)
+
+DECOMPOSE_STRATEGIES = tuple(_STRATEGIES)
 
 
 def expand_circuit(circuit: Circuit, strategy: str) -> AncillaCircuit:
@@ -269,34 +239,17 @@ def expand_circuit(circuit: Circuit, strategy: str) -> AncillaCircuit:
     All expansions restore their helpers, so consecutive gates reuse the
     same pool.
     """
-    if strategy not in DECOMPOSE_STRATEGIES:
+    if strategy not in _STRATEGIES:
         raise ValueError(
             f"unknown strategy {strategy!r} (expected one of {', '.join(DECOMPOSE_STRATEGIES)})"
         )
-    if strategy == "zeroed":
-        expander, threshold, mode = ladder_zeroed, 4, AncillaMode.ZEROED_RESTORED
-    elif strategy == "borrowed":
-        expander, threshold, mode = ladder_borrowed, 5, AncillaMode.BORROWED_RESTORED
-    else:
-        expander, threshold, mode = expand_one_garbage, 5, AncillaMode.BORROWED_RESTORED
-
-    pieces: list[tuple[Gate, ...] | AncillaCircuit] = []
-    pool = 0
-    for g in circuit.gates:
-        if g.size < threshold:
-            pieces.append((g,))
-        else:
-            expansion = expander(g)
-            pool = max(pool, expansion.ancilla_lines)
-            pieces.append(expansion)
-
-    total = circuit.n + pool
-    gates: list[Gate] = []
-    for piece in pieces:
-        if isinstance(piece, AncillaCircuit):
-            for g in piece.gates.gates:
-                gates.append(Gate(total, g.target, g.controls, g.negated))
-        else:
-            for g in piece:
-                gates.append(Gate(total, g.target, g.controls, g.negated))
-    return AncillaCircuit(circuit.n, pool, mode, Circuit(total, gates))
+    expander, min_size, mode = _STRATEGIES[strategy]
+    pieces = [
+        expander(g).gates if g.size >= min_size else Circuit(circuit.n, (g,))
+        for g in circuit.gates
+    ]
+    total = max((piece.n for piece in pieces), default=circuit.n)
+    gates = [
+        Gate(total, g.target, g.controls, g.negated) for piece in pieces for g in piece.gates
+    ]
+    return AncillaCircuit(circuit.n, total - circuit.n, mode, Circuit(total, gates))

@@ -18,7 +18,7 @@ Both families have n * 2^(n-1) members and every member is an involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -297,13 +297,33 @@ class GeneratorSet:
     """An enumerated gate family with the permutations its members realize.
 
     ``label`` is "I" (all-positive, any arity) or "H" (full-control, any
-    polarities).  Members are in canonical order: by target line, then by
-    control mask, then by polarity pattern, so traversals are deterministic.
+    polarities); the label and ``n`` fix the members, which are built here.
+    Members are in canonical order: by target line, then by control mask,
+    then by polarity pattern, so traversals are deterministic.
     """
 
     label: str
     n: int
-    members: tuple[tuple[Gate, TruthVector], ...]
+    members: tuple[tuple[Gate, TruthVector], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.label not in ("I", "H"):
+            raise ValueError(f"unknown generator set label {self.label!r} (expected 'I' or 'H')")
+        n = self.n
+        if not 1 <= n <= ENUMERATE_MAX_LINES:
+            raise ValueError(f"line count {n} out of range [1, {ENUMERATE_MAX_LINES}]")
+        members = []
+        for target in range(n):
+            others = [l for l in range(n) if l != target]
+            everyone = frozenset(others)
+            for subset in range(1 << (n - 1)):
+                chosen = frozenset(others[i] for i in range(n - 1) if subset >> i & 1)
+                if self.label == "I":  # the subset is the positive controls
+                    members.append(Gate(n, target, chosen))
+                else:  # every other line controls; lines outside the subset fire on 0
+                    members.append(Gate(n, target, everyone, everyone - chosen))
+        members.sort(key=lambda g: (g.target, g.control_mask, g.value_mask))
+        object.__setattr__(self, "members", tuple((g, g.perm()) for g in members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -317,41 +337,9 @@ class GeneratorSet:
 
 def enumerate_ci(n: int) -> GeneratorSet:
     """All gates with one target and any set of positive controls."""
-    if not 1 <= n <= ENUMERATE_MAX_LINES:
-        raise ValueError(f"line count {n} out of range [1, {ENUMERATE_MAX_LINES}]")
-    members = []
-    for target in range(n):
-        others = [l for l in range(n) if l != target]
-        for subset in range(1 << (n - 1)):
-            controls = frozenset(
-                others[i] for i in range(n - 1) if subset >> i & 1
-            )
-            gate = Gate(n, target, controls)
-            members.append(gate)
-    members.sort(key=lambda g: (g.target, g.control_mask))
-    return GeneratorSet("I", n, tuple((g, g.perm()) for g in members))
+    return GeneratorSet("I", n)
 
 
 def enumerate_ch(n: int) -> GeneratorSet:
     """All full-control gates, one per target and polarity pattern."""
-    if not 1 <= n <= ENUMERATE_MAX_LINES:
-        raise ValueError(f"line count {n} out of range [1, {ENUMERATE_MAX_LINES}]")
-    members = []
-    for target in range(n):
-        others = [l for l in range(n) if l != target]
-        controls = frozenset(others)
-        for pattern in range(1 << (n - 1)):
-            negated = frozenset(
-                others[i] for i in range(n - 1) if not pattern >> i & 1
-            )
-            members.append(Gate(n, target, controls, negated))
-    members.sort(key=lambda g: (g.target, g.control_mask, g.value_mask))
-    return GeneratorSet("H", n, tuple((g, g.perm()) for g in members))
-
-
-def generator_set(label: str, n: int) -> GeneratorSet:
-    if label == "I":
-        return enumerate_ci(n)
-    if label == "H":
-        return enumerate_ch(n)
-    raise ValueError(f"unknown generator set label {label!r} (expected 'I' or 'H')")
+    return GeneratorSet("H", n)

@@ -14,10 +14,6 @@ from typing import Iterable, Iterator, Sequence
 MAX_LINES = 24
 
 
-def popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 class TruthVector:
     """A bijection over {0, ..., 2^n - 1}, immutable after construction."""
 
@@ -69,9 +65,8 @@ class TruthVector:
         if n < 1:
             raise ValueError(f"line count must be >= 1, got {n}")
         size = 1 << n
-        total = math.factorial(size)
-        if not 0 <= r < total:
-            raise ValueError(f"rank {r} out of range [0, {total})")
+        if not 0 <= r < math.factorial(size):
+            raise ValueError(f"rank {r} out of range [0, (2^{n})!)")
         return cls(unrank_entries(r, size))
 
     # -- permutation algebra ----------------------------------------------
@@ -101,7 +96,7 @@ class TruthVector:
         """Differing bits between the two n*2^n-bit binary representations."""
         if self.n != other.n:
             raise ValueError(f"line counts differ: {self.n} != {other.n}")
-        return sum(popcount(a ^ b) for a, b in zip(self.entries, other.entries))
+        return sum((a ^ b).bit_count() for a, b in zip(self.entries, other.entries))
 
     def rank(self) -> int:
         """Lexicographic index of this permutation among all (2^n)! of them."""
@@ -148,20 +143,13 @@ class TruthVector:
             tokens.extend(stripped.split())
         if not tokens:
             raise ValueError("no truth-vector entries found")
-        try:
-            values = [int(tok) for tok in tokens]
-        except ValueError:
-            bad = next(tok for tok in tokens if not _is_int(tok))
-            raise ValueError(f"invalid entry {bad!r}: expected a decimal integer") from None
+        values = []
+        for tok in tokens:
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError(f"invalid entry {tok!r}: expected a decimal integer") from None
         return cls(values)
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
 
 
 # Lehmer-code rank/unrank on raw entry sequences.  These run in the BFS inner
@@ -187,13 +175,6 @@ def unrank_entries(r: int, k: int) -> list[int]:
     digits[0] = r
     remaining = list(range(k))
     return [remaining.pop(d) for d in digits]
-
-
-def random_truth_vector(n: int, rng) -> TruthVector:
-    """Uniformly random member of S_{2^n} drawn from ``rng`` (random.Random)."""
-    values = list(range(1 << n))
-    rng.shuffle(values)
-    return TruthVector(values)
 
 
 def all_truth_vectors(n: int) -> Iterable[TruthVector]:

@@ -18,7 +18,6 @@ import pytest
 import revsynth.cayley as cayley
 from revsynth.cayley import (
     bfs,
-    bipartite_check,
     hamming_distance_audit,
 )
 from revsynth.cost import GarbagePolicy, circuit_cost, cost_of, worst_case_qc
@@ -310,8 +309,8 @@ def test_criterion_07_odd_cycle_and_bipartite_witnesses():
         cur = cur * step
         walk_ok = walk_ok and cur == expected_next
     closed_odd = cur == vertices[0] and len(steps) % 2 == 1
-    i2 = bipartite_check(enumerate_ci(2))
-    h2 = bipartite_check(enumerate_ch(2))
+    i2 = bfs(enumerate_ci(2))
+    h2 = bfs(enumerate_ch(2))
     ok = walk_ok and closed_odd and not i2.bipartite and h2.bipartite
     report(
         7,

@@ -5,17 +5,16 @@ import time
 
 import pytest
 
+import revsynth.cayley as cayley
 from revsynth.cayley import (
     DUMP_MAGIC,
     bfs,
-    bfs_histogram,
-    bipartite_check,
     distance,
     hamming_distance_audit,
     load_dump,
     permutation_parity,
 )
-from revsynth.gates import enumerate_ch, enumerate_ci
+from revsynth.gates import GeneratorSet, enumerate_ch, enumerate_ci
 from revsynth.hypercube import hc_synthesize
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector
@@ -33,16 +32,16 @@ I3_COUNTS = {0: 1, 1: 12, 2: 102, 3: 625, 4: 2780, 5: 8921, 6: 17049,
 
 
 def test_single_line_graph():
-    hist = bfs_histogram(enumerate_ch(1))
+    hist = bfs(enumerate_ch(1)).histogram
     assert hist.counts == {0: 1, 1: 1}
     assert hist.diameter == 1
-    assert bfs_histogram(enumerate_ci(1)).counts == {0: 1, 1: 1}
+    assert bfs(enumerate_ci(1)).histogram.counts == {0: 1, 1: 1}
 
 
 @pytest.mark.parametrize("label,n", [("I", 2), ("H", 2), ("I", 3), ("H", 3)])
 def test_histogram_invariants(label, n):
     gen = enumerate_ci(n) if label == "I" else enumerate_ch(n)
-    hist = bfs_histogram(gen)
+    hist = bfs(gen).histogram
     total = 1
     for k in range(2, (1 << n) + 1):
         total *= k
@@ -56,13 +55,13 @@ def test_histogram_invariants(label, n):
 
 
 def test_i3_matches_published_optimal_distribution():
-    hist = bfs_histogram(enumerate_ci(3))
+    hist = bfs(enumerate_ci(3)).histogram
     assert hist.counts == I3_COUNTS
     assert hist.diameter == 8
 
 
 def test_h3_regression_fixture():
-    hist = bfs_histogram(enumerate_ch(3))
+    hist = bfs(enumerate_ch(3)).histogram
     assert hist.counts == H3_COUNTS
     assert hist.diameter == 12
     assert 12 <= hist.diameter <= 17  # between degree bound and gate bound
@@ -101,15 +100,15 @@ def test_sandwich_holds_for_random_vertices():
 
 
 def test_h_graphs_bipartite():
-    assert bipartite_check(enumerate_ch(2)).bipartite
-    assert bipartite_check(enumerate_ch(3)).bipartite
-    assert bipartite_check(enumerate_ch(2)).odd_walk is None
+    assert bfs(enumerate_ch(2)).bipartite
+    assert bfs(enumerate_ch(3)).bipartite
+    assert bfs(enumerate_ch(2)).odd_walk is None
 
 
 def test_i_graphs_not_bipartite_with_valid_witness():
     for n in (2, 3):
         gen = enumerate_ci(n)
-        report = bipartite_check(gen)
+        report = bfs(gen)
         assert not report.bipartite
         walk = report.odd_walk
         assert walk is not None
@@ -200,9 +199,26 @@ def test_synthesis_never_beats_bfs_distance():
 
 def test_line_cap_refusal_names_the_state_count():
     with pytest.raises(ValueError, match="20922789888000"):
-        bfs_histogram(enumerate_ch(4))
+        bfs(enumerate_ch(4)).histogram
     with pytest.raises(ValueError, match="desk scale"):
         distance(TruthVector.identity(4), enumerate_ci(4))
+
+
+def test_refusals_never_format_the_vertex_count():
+    with pytest.raises(ValueError, match="desk scale") as info:
+        hamming_distance_audit(11)
+    assert str(info.value) == (
+        "BFS over 11 lines needs (2^11)! >= 16! = 20922789888000 vertices; "
+        "only n <= 3 (40320 vertices) is within desk scale"
+    )
+
+
+def test_generator_set_cannot_poison_the_bfs_cache():
+    cayley._CACHE.pop(("I", 2), None)
+    with pytest.raises(TypeError):
+        GeneratorSet("I", 2, enumerate_ch(2).members)
+    assert bfs(GeneratorSet("I", 2)).bipartite is False
+    assert bfs(enumerate_ci(2)).bipartite is False
 
 
 def test_dump_round_trip():
@@ -247,7 +263,7 @@ def test_load_dump_rejects_nonzero_reserved_bytes():
 
 
 def test_csv_format():
-    hist = bfs_histogram(enumerate_ci(2))
+    hist = bfs(enumerate_ci(2)).histogram
     lines = hist.to_csv().strip().splitlines()
     assert lines[0] == "distance,count"
     assert lines[1] == "0,1"

@@ -128,6 +128,14 @@ def test_bfs_rejects_sixteen_factorial(capsys):
     assert "20922789888000" in capsys.readouterr().err
 
 
+def test_bfs_refusal_is_one_short_line(capsys):
+    assert main(["bfs", "--set", "I", "--n", "10"]) == 1
+    assert capsys.readouterr().err == (
+        "error: BFS over 10 lines needs (2^10)! >= 16! = 20922789888000 vertices; "
+        "only n <= 3 (40320 vertices) is within desk scale\n"
+    )
+
+
 def test_internal_error_exits_three(monkeypatch, capsys, example_vector):
     monkeypatch.setattr(cli, "mmd_synthesize", lambda f: Circuit(f.n))
     assert main(["synth", "--algo", "mmd", "--in", str(example_vector)]) == 3

@@ -256,3 +256,69 @@ def test_expand_circuit_borrowed_round_trip():
 def test_expand_circuit_unknown_strategy():
     with pytest.raises(ValueError, match="unknown strategy"):
         expand_circuit(Circuit(3), "magic")
+
+
+# Full .tfc texts of the size-8 one-garbage expansion and of one circuit under
+# each strategy: the split order (each half through its own borrowed network)
+# and the lift of every piece to the pooled width are pinned gate by gate.
+ONE_GARBAGE_SIZE_8_TEXT = """\
+.n 9
+t3 e',i,h
+t3 d',g,i
+t3 c',f,g
+t3 a,b',f
+t3 c',f,g
+t3 d',g,i
+t3 e',i,h
+t3 d',g,i
+t3 c',f,g
+t3 a,b',f
+t3 c',f,g
+t3 d',g,i
+t3 a,h,i
+t3 f',g',a
+t3 a,h,i
+t3 f',g',a
+t3 e',i,h
+t3 d',g,i
+t3 c',f,g
+t3 a,b',f
+t3 c',f,g
+t3 d',g,i
+t3 e',i,h
+t3 d',g,i
+t3 c',f,g
+t3 a,b',f
+t3 c',f,g
+t3 d',g,i
+t3 a,h,i
+t3 f',g',a
+t3 a,h,i
+t3 f',g',a
+"""
+
+POOLED_EXPANSION_TEXTS = {
+    "zeroed": (
+        ".n 7\nt3 a,b',f\nt3 c,f,g\nt3 d',g,e\nt3 c,f,g\nt3 a,b',f\n"
+        "t1 a\nt3 b,c,f\nt3 d,f,e\nt3 b,c,f\nt2 a,b\n"
+    ),
+    "borrowed": (
+        ".n 7\nt3 d',g,e\nt3 c,f,g\nt3 a,b',f\nt3 c,f,g\nt3 d',g,e\n"
+        "t3 c,f,g\nt3 a,b',f\nt3 c,f,g\nt1 a\nt4 b,c,d,e\nt2 a,b\n"
+    ),
+    "one-garbage": (
+        ".n 6\nt3 c,d,f\nt3 a,b',d\nt3 c,d,f\nt3 a,b',d\nt3 d',f,e\n"
+        "t3 c,d,f\nt3 a,b',d\nt3 c,d,f\nt3 a,b',d\nt3 d',f,e\n"
+        "t1 a\nt4 b,c,d,e\nt2 a,b\n"
+    ),
+}
+
+
+def test_expansion_texts_are_pinned():
+    g = Gate(9, 8, frozenset(range(7)), frozenset({1, 2, 3, 4, 5, 6}))
+    expansion = expand_one_garbage(g)
+    assert len(expansion.gates) == 32
+    assert expansion.gates.to_text() == ONE_GARBAGE_SIZE_8_TEXT
+    circuit = parse_circuit(".n 5\nt5 a,b',c,d',e\nt1 a\nt4 b,c,d,e\nt2 a,b\n")
+    for strategy, text in POOLED_EXPANSION_TEXTS.items():
+        assert expand_circuit(circuit, strategy).gates.to_text() == text

@@ -10,6 +10,7 @@ from revsynth.cayley import permutation_parity
 from revsynth.gates import (
     Circuit,
     Gate,
+    GeneratorSet,
     cnot,
     enumerate_ch,
     enumerate_ci,
@@ -100,6 +101,19 @@ def test_generator_counts(n, expected):
     assert expected == n * (1 << (n - 1))
     assert len(enumerate_ci(n)) == expected
     assert len(enumerate_ch(n)) == expected
+
+
+def test_generator_set_is_fixed_by_label_and_n():
+    with pytest.raises(TypeError):
+        GeneratorSet("I", 2, enumerate_ch(2).members)
+    with pytest.raises(ValueError, match="unknown generator set label 'X'"):
+        GeneratorSet("X", 2)
+    with pytest.raises(ValueError, match=r"line count 11 out of range \[1, 10\]"):
+        GeneratorSet("I", 11)
+    for label, enumerate_set in (("I", enumerate_ci), ("H", enumerate_ch)):
+        gen = GeneratorSet(label, 3)
+        assert gen == enumerate_set(3) and hash(gen) == hash(enumerate_set(3))
+        assert gen.members == enumerate_set(3).members
 
 
 def test_ci_two_lines_is_two_nots_and_two_cnots():

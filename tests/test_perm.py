@@ -136,6 +136,15 @@ def test_unrank_range_checks():
         TruthVector.unrank(24, 2)
 
 
+def test_unrank_range_error_never_formats_the_factorial():
+    with pytest.raises(ValueError) as info:
+        TruthVector.unrank(-1, 16)
+    assert str(info.value) == "rank -1 out of range [0, (2^16)!)"
+    with pytest.raises(ValueError) as info:
+        TruthVector.unrank(24, 2)
+    assert str(info.value) == "rank 24 out of range [0, (2^2)!)"
+
+
 def test_immutable():
     tv = TruthVector.identity(2)
     with pytest.raises(AttributeError):
@@ -156,3 +165,9 @@ def test_text_parse_errors():
         TruthVector.from_text("# only comments\n")
     with pytest.raises(ValueError, match="invalid entry"):
         TruthVector.from_text("0 1 two 3\n")
+
+
+def test_text_parse_names_the_first_bad_token():
+    with pytest.raises(ValueError) as info:
+        TruthVector.from_text("# header\n0 one\n2 three\n")
+    assert str(info.value) == "invalid entry 'one': expected a decimal integer"
