@@ -10,15 +10,29 @@ walk when one exists.
 Distances are stored in a byte array indexed by lexicographic (Lehmer) rank,
 about 40 KB at n = 3.  The hard cap is n <= 3: at n = 4 there are
 16! = 20922789888000 vertices, far beyond desk scale.
+
+The BFS is level-synchronous numpy.  For each level it gathers every
+generator applied to every frontier permutation, ``G[:, frontier]``, into
+candidate rows ordered by frontier row and then generator; ranks them with
+a vectorized Lehmer code; reads their distances; and keeps the first
+sighting of each unseen rank, in sighting order.  That is the order an
+edge-at-a-time loop visits, so parents, the first same-level edge (the odd
+walk's witness), the next frontier's order and every output are the ones
+that loop gives.  A level is expanded a fixed number of frontier rows at a
+time (``_CHUNK``), marking distances after each chunk, so besides the
+rank-indexed distance and parent tables (200 KB at n = 3) and the frontier
+the working set stays under about a megabyte whatever a level's size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
+
+import numpy as np
 
 from .gates import GeneratorSet
 from .perm import TruthVector, rank_entries, unrank_entries
@@ -33,7 +47,8 @@ _REFUSAL = (
 DUMP_MAGIC = b"RSYNBFS\x00"
 
 
-def _check_lines(n: int) -> None:
+def check_bfs_lines(n: int) -> None:
+    """Refuse a line count outside 1..BFS_MAX_LINES; format no vertex count."""
     if n < 1:
         raise ValueError(f"line count must be >= 1, got {n}")
     if n > BFS_MAX_LINES:
@@ -69,7 +84,7 @@ class BfsResult:
     def distance_of(self, tv: TruthVector) -> int:
         if tv.n != self.n:
             raise ValueError(f"line counts differ: {tv.n} != {self.n}")
-        return self.distances[tv.rank()]
+        return self.distances[rank_entries(tv.entries)]
 
     def dump(self) -> bytes:
         """Binary distance table: 16-byte header then u8 distances by rank."""
@@ -86,63 +101,99 @@ def bfs(gen_set: GeneratorSet) -> BfsResult:
     Neighbor order follows the set's canonical member order, so results are
     deterministic.  Results are cached per (label, n), which fix the members.
     """
-    _check_lines(gen_set.n)
+    check_bfs_lines(gen_set.n)
     key = (gen_set.label, gen_set.n)
     if key not in _CACHE:
         _CACHE[key] = _bfs_run(gen_set)
     return _CACHE[key]
 
 
+_UNSEEN = 255
+# Frontier rows expanded at once.  With g generators a chunk holds
+# _CHUNK * g candidate rows, about 0.2 MB of uint8 entries plus their int32
+# ranks at n = 3, whatever the size of the level.
+_CHUNK = 2048
+
+
+def _lehmer_digits(rows: np.ndarray):
+    """Yield, for each position i < k - 1 of the uint8 rows, how many later
+    entries of each row are smaller than entry i (the row's Lehmer digit)."""
+    k = rows.shape[1]
+    left = np.full(len(rows), (1 << k) - 1, dtype=np.int32)  # values not yet placed
+    for i in range(k - 1):
+        bit = np.left_shift(1, rows[:, i], dtype=np.int32)
+        yield np.bitwise_count(left & (bit - 1))
+        left ^= bit
+
+
+def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each permutation row, as int32 (k <= 8 here)."""
+    k = rows.shape[1]
+    ranks = np.zeros(len(rows), dtype=np.int32)
+    for i, digit in enumerate(_lehmer_digits(rows)):
+        ranks *= k - i
+        ranks += digit
+    return ranks
+
+
 def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
     n = gen_set.n
     size = 1 << n
     total = math.factorial(size)
-    gen_perms = [tuple(p.entries) for p in gen_set.perms()]
+    gens = np.array([p.entries for p in gen_set.perms()], dtype=np.uint8)
+    g = len(gens)
 
-    unseen = 255
-    dist = bytearray([unseen]) * total
-    parent_rank = [0] * total
-    parent_gen = [0] * total
-    identity = tuple(range(size))
+    dist = np.full(total, _UNSEEN, dtype=np.uint8)
+    parent_rank = np.zeros(total, dtype=np.int32)
     dist[0] = 0
-    frontier: list[tuple[tuple[int, ...], int]] = [(identity, 0)]
+    rows = np.arange(size, dtype=np.uint8)[None, :]  # the frontier's permutations
+    ranks = np.zeros(1, dtype=np.int32)  # and their ranks, in discovery order
     conflict: tuple[int, int] | None = None
 
     depth = 0
-    while frontier:
-        nxt: list[tuple[tuple[int, ...], int]] = []
-        for cur, r in frontier:
-            for gi, gp in enumerate(gen_perms):
-                new = tuple(gp[x] for x in cur)
-                nr = rank_entries(new)
-                d = dist[nr]
-                if d == unseen:
-                    dist[nr] = depth + 1
-                    parent_rank[nr] = r
-                    parent_gen[nr] = gi
-                    nxt.append((new, nr))
-                elif d == depth and conflict is None:
-                    conflict = (r, nr)
-        frontier = nxt
+    while len(ranks):
+        next_rows, next_ranks = [], []
+        for start in range(0, len(ranks), _CHUNK):
+            # Candidate j is generator j % g applied after frontier row
+            # start + j // g: the order a one-edge-at-a-time loop visits.
+            cand = gens[:, rows[start:start + _CHUNK]].transpose(1, 0, 2).reshape(-1, size)
+            cand_ranks = _lehmer_ranks(cand)
+            d = dist[cand_ranks]
+            if conflict is None:
+                hits = np.flatnonzero(d == depth)
+                if hits.size:
+                    j = hits[0]
+                    conflict = (int(ranks[start + j // g]), int(cand_ranks[j]))
+            fresh = np.flatnonzero(d == _UNSEEN)
+            _, first = np.unique(cand_ranks[fresh], return_index=True)
+            keep = fresh[np.sort(first)]  # first sighting of each new vertex
+            new = cand_ranks[keep]
+            dist[new] = depth + 1
+            parent_rank[new] = ranks[start + keep // g]
+            next_rows.append(cand[keep])
+            next_ranks.append(new)
+        rows = np.concatenate(next_rows)
+        ranks = np.concatenate(next_ranks)
         depth += 1
 
-    counts = MappingProxyType(dict(Counter(dist)))
-    if unseen in counts:
+    per_distance = np.bincount(dist)
+    if per_distance[_UNSEEN:].any():
         raise RuntimeError("generator set did not reach the whole group")
+    counts = MappingProxyType({d: int(c) for d, c in enumerate(per_distance) if c})
     diameter = max(counts)
     average = sum(d * c for d, c in counts.items()) / total
     histogram = DistanceHistogram(gen_set.label, n, counts, diameter, average, total)
 
     odd_walk = None
     if conflict is not None:
-        odd_walk = _closed_walk(conflict, parent_rank, dist, size)
-    return BfsResult(gen_set.label, n, bytes(dist), histogram, conflict is None, odd_walk)
+        odd_walk = _closed_walk(conflict, parent_rank.tolist(), dist, size)
+    return BfsResult(gen_set.label, n, dist.tobytes(), histogram, conflict is None, odd_walk)
 
 
 def _closed_walk(
     conflict: tuple[int, int],
     parent_rank: list[int],
-    dist: bytearray,
+    dist: np.ndarray,
     size: int,
 ) -> tuple[TruthVector, ...]:
     """Join the BFS paths of a same-level edge into an odd closed walk."""
@@ -209,33 +260,33 @@ class HammingAuditReport:
 
 def hamming_distance_audit(n: int = 3) -> HammingAuditReport:
     """Verify the Hamming-distance sandwich on the full-control graph."""
-    _check_lines(n)
+    check_bfs_lines(n)
     result = bfs(GeneratorSet("H", n))
     size = 1 << n
-    violations = 0
-    lower_slacks: list[int] = []
-    upper_slacks: list[int] = []
-    parity_ok = True
-    for r in range(result.histogram.total):
-        entries = unrank_entries(r, size)
-        d = result.distances[r]
-        if d & 1 != permutation_parity(entries):
-            parity_ok = False
-        if r == 0:
-            continue
-        dh = sum((v ^ i).bit_count() for i, v in enumerate(entries))
-        if not (dh <= 2 * d < 2 * dh):
-            violations += 1
-        lower_slacks.append(2 * d - dh)
-        upper_slacks.append(dh - d)
+    total = result.histogram.total
+    # Every permutation, in rank order: itertools yields them lexicographically.
+    rows = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(size))),
+        dtype=np.uint8,
+        count=total * size,
+    ).reshape(total, size)
+    d = np.frombuffer(result.distances, dtype=np.uint8).astype(np.int32)
+    parity = sum(_lehmer_digits(rows)) & 1  # inversion count mod 2
+    parity_ok = bool(np.array_equal(d & 1, parity))
+    # The identity (rank 0) has d = d_H = 0 and is left out of the sandwich.
+    d = d[1:]
+    dh = np.bitwise_count(rows[1:] ^ np.arange(size, dtype=np.uint8)).sum(axis=1, dtype=np.int32)
+    lower_slacks = 2 * d - dh
+    upper_slacks = dh - d
+    violations = np.count_nonzero((lower_slacks < 0) | (upper_slacks <= 0))
     return HammingAuditReport(
         n=n,
-        vertices_checked=result.histogram.total - 1,
-        violations=violations,
-        min_lower_slack=min(lower_slacks),
-        max_lower_slack=max(lower_slacks),
-        min_upper_slack=min(upper_slacks),
-        max_upper_slack=max(upper_slacks),
+        vertices_checked=total - 1,
+        violations=int(violations),
+        min_lower_slack=int(lower_slacks.min()),
+        max_lower_slack=int(lower_slacks.max()),
+        min_upper_slack=int(upper_slacks.min()),
+        max_upper_slack=int(upper_slacks.max()),
         parity_consistent=parity_ok,
     )
 

@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 
 from . import __version__
-from .cayley import BFS_MAX_LINES, bfs, hamming_distance_audit
+from .cayley import BFS_MAX_LINES, bfs, check_bfs_lines, hamming_distance_audit
 from .cost import GarbagePolicy, cost_report
 from .decompose import (
     DECOMPOSE_STRATEGIES,
@@ -136,6 +136,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_bfs(args: argparse.Namespace) -> int:
+    check_bfs_lines(args.n)  # before building the set: n = 10 has 5,120 members
     result = bfs(GeneratorSet(args.set, args.n))
     hist = result.histogram
     if args.csv:

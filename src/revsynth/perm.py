@@ -64,6 +64,8 @@ class TruthVector:
         """Inverse of :meth:`rank` under lexicographic (Lehmer code) order."""
         if n < 1:
             raise ValueError(f"line count must be >= 1, got {n}")
+        if n > MAX_LINES:  # before (2^n)!, which is too large to compute
+            raise ValueError(f"{n} lines exceeds the supported maximum {MAX_LINES}")
         size = 1 << n
         if not 0 <= r < math.factorial(size):
             raise ValueError(f"rank {r} out of range [0, (2^{n})!)")
@@ -152,19 +154,16 @@ class TruthVector:
         return cls(values)
 
 
-# Lehmer-code rank/unrank on raw entry sequences.  These run in the BFS inner
-# loop, so they avoid constructing TruthVector objects.
+# Lehmer-code rank/unrank on raw entry sequences.  These serve every warm BFS
+# distance lookup, so they avoid constructing TruthVector objects.
 
 def rank_entries(entries: Sequence[int]) -> int:
     k = len(entries)
+    left = (1 << k) - 1  # bit v is set while value v is not yet placed
     r = 0
-    for i in range(k):
-        pi = entries[i]
-        smaller_right = 0
-        for j in range(i + 1, k):
-            if entries[j] < pi:
-                smaller_right += 1
-        r = r * (k - i) + smaller_right
+    for i, p in enumerate(entries):
+        r = r * (k - i) + (left & ((1 << p) - 1)).bit_count()  # smaller values to the right
+        left ^= 1 << p
     return r
 
 

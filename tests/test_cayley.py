@@ -17,7 +17,7 @@ from revsynth.cayley import (
 from revsynth.gates import GeneratorSet, enumerate_ch, enumerate_ci
 from revsynth.hypercube import hc_synthesize
 from revsynth.mmd import mmd_synthesize
-from revsynth.perm import TruthVector
+from revsynth.perm import TruthVector, rank_entries
 
 # Exhaustively computed once with this module's BFS and frozen as a
 # regression fixture; diameter 12 equals the degree lower bound n*2^(n-1)
@@ -182,6 +182,86 @@ def test_hamming_audit():
     assert report.parity_consistent
     assert report.min_lower_slack == 0  # the reverse permutation is tight
     assert report.min_upper_slack >= 1  # the upper bound is strict
+
+
+def test_hamming_audit_report_is_pinned():
+    # Every field, as the one-vertex-at-a-time sweep computed it.
+    assert hamming_distance_audit(3) == cayley.HammingAuditReport(
+        n=3, vertices_checked=40319, violations=0, min_lower_slack=0,
+        max_lower_slack=6, min_upper_slack=1, max_upper_slack=12,
+        parity_consistent=True,
+    )
+
+
+def _reference_bfs(gen_set):
+    """One edge at a time, in (frontier vertex, generator) order: the
+    sequential loop the numpy BFS must reproduce exactly."""
+    size = 1 << gen_set.n
+    gen_perms = [tuple(p.entries) for p in gen_set.perms()]
+    total = 1
+    for k in range(2, size + 1):
+        total *= k
+    unseen = 255
+    dist = bytearray([unseen]) * total
+    parent_rank = [0] * total
+    dist[0] = 0
+    frontier = [(tuple(range(size)), 0)]
+    conflict = None
+    depth = 0
+    while frontier:
+        nxt = []
+        for cur, r in frontier:
+            for gp in gen_perms:
+                new = tuple(gp[x] for x in cur)
+                nr = rank_entries(new)
+                d = dist[nr]
+                if d == unseen:
+                    dist[nr] = depth + 1
+                    parent_rank[nr] = r
+                    nxt.append((new, nr))
+                elif d == depth and conflict is None:
+                    conflict = (r, nr)
+        frontier = nxt
+        depth += 1
+    return bytes(dist), parent_rank, conflict
+
+
+def _chain(r, dist, parent_rank):
+    ranks = [r]
+    while dist[r] != 0:
+        r = parent_rank[r]
+        ranks.append(r)
+    return ranks  # vertex, parent, ..., identity
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("label,n", [(lab, n) for n in (1, 2, 3) for lab in ("I", "H")])
+def test_numpy_bfs_matches_sequential_reference(label, n, chunk, monkeypatch):
+    if chunk is not None:  # many chunks per level, so marks must carry across them
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+    gen = GeneratorSet(label, n)
+    dist, parent_rank, conflict = _reference_bfs(gen)
+    result = cayley._bfs_run(gen)
+    assert result.distances == dist
+    assert result.bipartite == (conflict is None)
+    if conflict is None:
+        assert result.odd_walk is None
+        return
+    # The walk is the reference's parent chain of each end of the first
+    # same-level edge, joined through that edge.
+    ru, rv = conflict
+    expected = _chain(ru, dist, parent_rank)[::-1] + _chain(rv, dist, parent_rank)
+    assert [tv.rank() for tv in result.odd_walk] == expected
+
+
+@pytest.mark.parametrize("label", ["I", "H"])
+def test_cold_bfs_is_vectorized(label):
+    cayley._CACHE.pop((label, 3), None)
+    started = time.perf_counter()
+    result = bfs(GeneratorSet(label, 3))
+    # The per-edge Python loop takes about 3.5 s here.
+    assert time.perf_counter() - started < 1.0
+    assert result.histogram.total == 40320
 
 
 def test_synthesis_never_beats_bfs_distance():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -129,7 +130,10 @@ def test_bfs_rejects_sixteen_factorial(capsys):
 
 
 def test_bfs_refusal_is_one_short_line(capsys):
+    started = time.perf_counter()
     assert main(["bfs", "--set", "I", "--n", "10"]) == 1
+    # Refused before the 5,120-member generator set is built.
+    assert time.perf_counter() - started < 0.2
     assert capsys.readouterr().err == (
         "error: BFS over 10 lines needs (2^10)! >= 16! = 20922789888000 vertices; "
         "only n <= 3 (40320 vertices) is within desk scale\n"

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -121,6 +123,11 @@ def test_rank_unrank_round_trip_exhaustive_s4():
         assert TruthVector.unrank(r, 2) == tv
 
 
+def test_rank_is_the_lexicographic_index_exhaustive_s8():
+    for r, entries in enumerate(itertools.permutations(range(8))):
+        assert rank_entries(entries) == r
+
+
 def test_rank_unrank_round_trip_random_s8():
     rng = random.Random(14)
     for _ in range(100_000):
@@ -143,6 +150,13 @@ def test_unrank_range_error_never_formats_the_factorial():
     with pytest.raises(ValueError) as info:
         TruthVector.unrank(24, 2)
     assert str(info.value) == "rank 24 out of range [0, (2^2)!)"
+
+
+def test_unrank_refuses_too_many_lines_quickly():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="supported maximum 24"):
+        TruthVector.unrank(0, 25)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_immutable():
