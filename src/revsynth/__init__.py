@@ -51,6 +51,7 @@ from .gates import (
     enumerate_ch,
     enumerate_ci,
     parse_circuit,
+    toffoli,
 )
 from .hypercube import hc_bidirectional, hc_synthesize
 from .mmd import mmd_synthesize
@@ -92,6 +93,7 @@ __all__ = [
     "parse_circuit",
     "split_one_borrowed",
     "synthesis_gate_bound",
+    "toffoli",
     "verify_circuit_equivalence",
     "verify_elementary",
     "verify_equivalence",

@@ -79,13 +79,17 @@ def _chain(g: Gate, total: int, helpers) -> tuple[list[Gate], Gate]:
     control.  Uses len(g.controls) - 2 helpers.
     """
     xs = sorted(g.controls)
-    neg = g.negated
-    links = [Gate(total, helpers[0], frozenset(xs[:2]), neg & frozenset(xs[:2]))]
+    vm = g.value_mask
+
+    def link(target: int, helper_bits: int, control_bits: int) -> Gate:
+        # helper controls fire on 1; g's own controls keep g's polarity
+        return Gate(total, target, helper_bits | control_bits, helper_bits | vm & control_bits)
+
+    links = [link(helpers[0], 0, 1 << xs[0] | 1 << xs[1])]
     links += [
-        Gate(total, helpers[k], frozenset({helpers[k - 1], xs[k + 1]}), neg & {xs[k + 1]})
-        for k in range(1, len(helpers))
+        link(helpers[k], 1 << helpers[k - 1], 1 << xs[k + 1]) for k in range(1, len(helpers))
     ]
-    fire = Gate(total, g.target, frozenset({helpers[-1], xs[-1]}), neg & {xs[-1]})
+    fire = link(g.target, 1 << helpers[-1], 1 << xs[-1])
     return links, fire
 
 
@@ -121,6 +125,12 @@ def ladder_borrowed(g: Gate) -> AncillaCircuit:
     return AncillaCircuit(g.n, s - 3, AncillaMode.BORROWED_RESTORED, Circuit(total, gates))
 
 
+def _free_lines(g: Gate) -> list[int]:
+    """The lines ``g`` neither controls nor targets, ascending."""
+    used = g.control_mask | 1 << g.target
+    return [l for l in range(g.n) if not used >> l & 1]
+
+
 def split_one_borrowed(g: Gate) -> tuple[Gate, Gate, Gate, Gate]:
     """Split a size >= 5 gate into G1 G2 G1 G2 through one borrowed line.
 
@@ -131,15 +141,16 @@ def split_one_borrowed(g: Gate) -> tuple[Gate, Gate, Gate, Gate]:
     s = g.size
     if s < 5:
         raise ValueError(f"split needs gate size >= 5, got {s}")
-    free = sorted(frozenset(range(g.n)) - g.controls - {g.target})
+    free = _free_lines(g)
     if not free:
         raise ValueError("split needs a free line to borrow")
     borrow = free[0]
-    xs = sorted(g.controls)
     first = (s + 2) // 2
-    s1, s2 = frozenset(xs[:first]), frozenset(xs[first:])
-    g1 = Gate(g.n, borrow, s1, g.negated & s1)
-    g2 = Gate(g.n, g.target, s2 | {borrow}, g.negated & s2)
+    s1 = g.control_mask & ((1 << sorted(g.controls)[first]) - 1)  # the lowest `first` controls
+    s2 = g.control_mask ^ s1
+    b = 1 << borrow
+    g1 = Gate(g.n, borrow, s1, g.value_mask & s1)
+    g2 = Gate(g.n, g.target, s2 | b, g.value_mask & s2 | b)
     return (g1, g2, g1, g2)
 
 
@@ -154,15 +165,14 @@ def expand_one_garbage(g: Gate) -> AncillaCircuit:
     s = g.size
     if s < 5:
         raise ValueError(f"one-garbage expansion needs gate size >= 5, got {s}")
-    has_free = len(g.controls) + 1 < g.n
-    total = _widened(g, 0 if has_free else 1)
-    lifted = Gate(total, g.target, g.controls, g.negated)
+    total = _widened(g, 0 if s < g.n else 1)
+    lifted = Gate(total, g.target, g.control_mask, g.value_mask)
     sequence: list[Gate] = []
     for sub in split_one_borrowed(lifted):
         if sub.size <= 3:
             sequence.append(sub)
             continue
-        pool = sorted(frozenset(range(total)) - sub.controls - {sub.target})
+        pool = _free_lines(sub)
         need = sub.size - 3
         if len(pool) < need:
             raise ValueError(
@@ -250,6 +260,8 @@ def expand_circuit(circuit: Circuit, strategy: str) -> AncillaCircuit:
     ]
     total = max((piece.n for piece in pieces), default=circuit.n)
     gates = [
-        Gate(total, g.target, g.controls, g.negated) for piece in pieces for g in piece.gates
+        Gate(total, g.target, g.control_mask, g.value_mask)
+        for piece in pieces
+        for g in piece.gates
     ]
     return AncillaCircuit(circuit.n, total - circuit.n, mode, Circuit(total, gates))

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .gates import toffoli
+
 MAX_UNITARY_LINES = 4
 
 UNITARY_TOL = 1e-10
@@ -46,20 +48,8 @@ class QuantumGate:
 
     def unitary(self, lines: int) -> np.ndarray:
         """Dense 2^lines x 2^lines matrix of this gate."""
-        if not 0 <= self.target < lines:
-            raise ValueError(f"target {self.target} out of range [0, {lines})")
-        if self.target in self.controls:
-            raise ValueError("target cannot be a control")
-        if not self.negated <= self.controls:
-            raise ValueError("negated lines must be controls")
-        cm = 0
-        vm = 0
-        for c in self.controls:
-            if not 0 <= c < lines:
-                raise ValueError(f"control {c} out of range [0, {lines})")
-            cm |= 1 << c
-            if c not in self.negated:
-                vm |= 1 << c
+        pattern = toffoli(lines, self.controls, self.target, self.negated)  # validates the lines
+        cm, vm = pattern.control_mask, pattern.value_mask
         dim = 1 << lines
         u = self.matrix
         m = np.zeros((dim, dim), dtype=complex)

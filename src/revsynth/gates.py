@@ -2,10 +2,12 @@
 
 A gate here is always a controlled NOT in the wide sense: one target line,
 any set of control lines, each control firing on 1 (positive) or 0
-(negative).  Applying a gate to a truth vector rewrites the *values*: every
-entry whose bits match all control polarities has its target bit flipped.
-That is left multiplication of the vector by the gate's own permutation, the
-"gate at the output end" convention.
+(negative).  A gate is stored as two bit masks, the control lines and the
+values they must carry; the line sets are views of them.  Applying a gate
+to a truth vector rewrites the *values*: every entry whose bits match all
+control polarities has its target bit flipped.  That is left multiplication
+of the vector by the gate's own permutation, the "gate at the output end"
+convention.
 
 Two enumerated families generate the full symmetric group on 2^n values:
 
@@ -30,80 +32,63 @@ LINE_NAMES = "abcdefghijklmnopqrstuvwx"
 ENUMERATE_MAX_LINES = 10
 
 
-def line_name(index: int) -> str:
-    if not 0 <= index < len(LINE_NAMES):
-        raise ValueError(f"line index {index} out of range [0, {len(LINE_NAMES)})")
-    return LINE_NAMES[index]
-
-
-def line_index(name: str) -> int:
-    pos = LINE_NAMES.find(name)
-    if pos < 0:
-        raise ValueError(f"unknown line name {name!r}")
-    return pos
-
-
 @dataclass(frozen=True)
 class Gate:
-    """One reversible gate: target line, control set, per-control polarity.
+    """One reversible gate: n lines, a target line and two control masks.
 
-    ``negated`` lists the controls that fire on 0; all other controls fire
-    on 1.  No controls at all is a NOT gate.
+    The gate flips its target bit in every value v with
+    ``v & control_mask == value_mask``.  Bit c of ``control_mask`` makes
+    line c a control; bit c of ``value_mask`` says that control fires on 1,
+    a clear bit that it fires on 0 (a negative control).  Both masks 0 is a
+    NOT gate.  ``controls``, ``negated``, ``size`` and ``num_negative`` are
+    views of the masks; :func:`toffoli` builds a gate from line sets.
     """
 
     n: int
     target: int
-    controls: frozenset[int] = frozenset()
-    negated: frozenset[int] = frozenset()
+    control_mask: int = 0
+    value_mask: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", frozenset(self.controls))
-        object.__setattr__(self, "negated", frozenset(self.negated))
-        if not 1 <= self.n <= len(LINE_NAMES):
-            raise ValueError(f"line count {self.n} out of range [1, {len(LINE_NAMES)}]")
-        if not 0 <= self.target < self.n:
-            raise ValueError(f"target {self.target} out of range [0, {self.n})")
-        if self.target in self.controls:
+        n, cm = self.n, self.control_mask
+        if not 1 <= n <= len(LINE_NAMES):
+            raise ValueError(f"line count {n} out of range [1, {len(LINE_NAMES)}]")
+        if not 0 <= self.target < n:
+            raise ValueError(f"target {self.target} out of range [0, {n})")
+        if not 0 <= cm < 1 << n:
+            raise ValueError(f"control mask {cm:#x} has lines outside [0, {n})")
+        if cm >> self.target & 1:
             raise ValueError(f"target line {self.target} cannot also be a control")
-        for c in self.controls:
-            if not 0 <= c < self.n:
-                raise ValueError(f"control {c} out of range [0, {self.n})")
-        if not self.negated <= self.controls:
-            extra = sorted(self.negated - self.controls)
-            raise ValueError(f"negated lines {extra} are not controls")
+        if self.value_mask & ~cm:
+            raise ValueError(
+                f"value mask {self.value_mask:#x} is not within control mask {cm:#x}"
+            )
 
     # -- derived views -------------------------------------------------------
 
     @property
+    def controls(self) -> frozenset[int]:
+        return _lines(self.control_mask)
+
+    @property
+    def negated(self) -> frozenset[int]:
+        """The controls that fire on 0."""
+        return _lines(self.control_mask ^ self.value_mask)
+
+    @property
     def size(self) -> int:
         """Gate size: control count plus one (1 = NOT, 2 = CNOT, 3 = Toffoli)."""
-        return len(self.controls) + 1
+        return self.control_mask.bit_count() + 1
 
     @property
     def num_negative(self) -> int:
-        return len(self.negated)
-
-    @property
-    def control_mask(self) -> int:
-        mask = 0
-        for c in self.controls:
-            mask |= 1 << c
-        return mask
-
-    @property
-    def value_mask(self) -> int:
-        """Bit pattern the controlled lines must carry for the gate to fire."""
-        mask = 0
-        for c in self.controls:
-            if c not in self.negated:
-                mask |= 1 << c
-        return mask
+        return (self.control_mask ^ self.value_mask).bit_count()
 
     def is_g_toffoli(self) -> bool:
-        return not self.negated
+        return self.value_mask == self.control_mask
 
     def is_mc_toffoli(self) -> bool:
-        return len(self.controls) == self.n - 1
+        return self.size == self.n
 
     # -- semantics -----------------------------------------------------------
 
@@ -121,11 +106,12 @@ class Gate:
 
     def spec(self) -> str:
         """Gate in circuit-file notation, e.g. ``t3 a,c',b``."""
+        cm, vm = self.control_mask, self.value_mask
         operands = [
-            line_name(c) + ("'" if c in self.negated else "")
-            for c in sorted(self.controls)
+            LINE_NAMES[c] + ("" if vm >> c & 1 else "'")
+            for c in range(self.n) if cm >> c & 1
         ]
-        operands.append(line_name(self.target))
+        operands.append(LINE_NAMES[self.target])
         return f"t{self.size} {','.join(operands)}"
 
     def __str__(self) -> str:
@@ -161,19 +147,35 @@ def fold_words(words: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
     return words
 
 
+def _lines(mask: int) -> frozenset[int]:
+    return frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+def toffoli(
+    n: int, controls: Iterable[int], target: int, negated: Iterable[int] = ()
+) -> Gate:
+    """Gate from line sets: ``controls`` fire on 1 except those in ``negated``.
+
+    The one place line sets become masks.
+    """
+    controls, negated = frozenset(controls), frozenset(negated)
+    for c in controls:
+        if not 0 <= c < n:
+            raise ValueError(f"control {c} out of range [0, {n})")
+    if not negated <= controls:
+        raise ValueError(f"negated lines {sorted(negated - controls)} are not controls")
+    cm = sum(1 << c for c in controls)
+    return Gate(n, target, cm, cm ^ sum(1 << c for c in negated))
+
 def not_gate(n: int, target: int) -> Gate:
     return Gate(n, target)
 
 def cnot(n: int, control: int, target: int) -> Gate:
-    return Gate(n, target, frozenset({control}))
-
-def toffoli(n: int, controls: Iterable[int], target: int) -> Gate:
-    return Gate(n, target, frozenset(controls))
+    return toffoli(n, (control,), target)
 
 def mc_gate(n: int, target: int, negated: Iterable[int] = ()) -> Gate:
     """Full-control gate: every non-target line controls, given ones on 0."""
-    controls = frozenset(range(n)) - {target}
-    return Gate(n, target, controls, frozenset(negated))
+    return toffoli(n, (c for c in range(n) if c != target), target, negated)
 
 
 @dataclass(frozen=True)
@@ -267,27 +269,23 @@ def _parse_gate(line: str, n: int, lineno: int) -> Gate:
         )
     if size < 1:
         raise ValueError(f"line {lineno}: gate needs at least a target")
-    *control_ops, target_op = operands
+    target_op = operands[-1]
     if target_op.endswith("'"):
         raise ValueError(f"line {lineno}: target {target_op!r} cannot be negated")
-    controls: set[int] = set()
-    negated: set[int] = set()
-    used: set[int] = set()
+    seen = vm = 0
     for op in operands:
         name = op.rstrip("'")
         if len(name) != 1 or name not in LINE_NAMES[:n]:
             raise ValueError(f"line {lineno}: unknown line name {op!r}")
-        idx = line_index(name)
-        if idx in used:
+        bit = 1 << LINE_NAMES.index(name)
+        if seen & bit:
             raise ValueError(f"line {lineno}: duplicate operand {name!r}")
-        used.add(idx)
-    for op in control_ops:
-        negative = op.endswith("'")
-        idx = line_index(op.rstrip("'"))
-        controls.add(idx)
-        if negative:
-            negated.add(idx)
-    return Gate(n, line_index(target_op), frozenset(controls), frozenset(negated))
+        seen |= bit
+        if op == name:  # fires on 1
+            vm |= bit
+    target = LINE_NAMES.index(target_op)
+    cm = seen & ~(1 << target)
+    return Gate(n, target, cm, vm & cm)
 
 
 # -- generating sets -----------------------------------------------------------
@@ -298,8 +296,8 @@ class GeneratorSet:
 
     ``label`` is "I" (all-positive, any arity) or "H" (full-control, any
     polarities); the label and ``n`` fix the members, which are built here.
-    Members are in canonical order: by target line, then by control mask,
-    then by polarity pattern, so traversals are deterministic.
+    Members are generated in canonical order, by target line, then control
+    mask, then value mask, so traversals are deterministic.
     """
 
     label: str
@@ -312,17 +310,17 @@ class GeneratorSet:
         n = self.n
         if not 1 <= n <= ENUMERATE_MAX_LINES:
             raise ValueError(f"line count {n} out of range [1, {ENUMERATE_MAX_LINES}]")
+        full = (1 << n) - 1
         members = []
         for target in range(n):
-            others = [l for l in range(n) if l != target]
-            everyone = frozenset(others)
+            bit = 1 << target
+            low = bit - 1
             for subset in range(1 << (n - 1)):
-                chosen = frozenset(others[i] for i in range(n - 1) if subset >> i & 1)
-                if self.label == "I":  # the subset is the positive controls
-                    members.append(Gate(n, target, chosen))
-                else:  # every other line controls; lines outside the subset fire on 0
-                    members.append(Gate(n, target, everyone, everyone - chosen))
-        members.sort(key=lambda g: (g.target, g.control_mask, g.value_mask))
+                pattern = subset & low | (subset & ~low) << 1  # a 0 spliced in at the target bit
+                if self.label == "I":  # the pattern is the positive controls
+                    members.append(Gate(n, target, pattern, pattern))
+                else:  # every other line controls; lines outside the pattern fire on 0
+                    members.append(Gate(n, target, full ^ bit, pattern))
         object.__setattr__(self, "members", tuple((g, g.perm()) for g in members))
 
     def __len__(self) -> int:

@@ -37,19 +37,17 @@ def hc_synthesize(f: TruthVector, order: str = RIGHT) -> Circuit:
         position_of[value] = pos
 
     gates: list[Gate] = []
-    all_lines = frozenset(range(n))
+    full = size - 1
     scan = range(size - 1, 0, -1) if order == RIGHT else range(size - 1)
     for i in scan:
         v = entries[i]
         if v == i:
             continue
         for j in range(n):
-            if (v ^ i) >> j & 1:
-                negated = frozenset(
-                    l for l in range(n) if l != j and not v >> l & 1
-                )
-                gates.append(Gate(n, j, all_lines - {j}, negated))
-                partner = v ^ (1 << j)
+            bit = 1 << j
+            if (v ^ i) & bit:
+                gates.append(Gate(n, j, full ^ bit, v & ~bit))
+                partner = v ^ bit
                 other = position_of[partner]
                 entries[i], entries[other] = partner, v
                 position_of[partner], position_of[v] = i, other

@@ -41,16 +41,12 @@ def mmd_synthesize(f: TruthVector) -> Circuit:
         step = len(gates)
         add_bits = i & ~v
         drop_bits = v & ~i
-        if add_bits:
-            controls = frozenset(l for l in range(n) if v >> l & 1)
-            for j in range(n):
-                if add_bits >> j & 1:
-                    gates.append(Gate(n, j, controls))
-        if drop_bits:
-            controls = frozenset(l for l in range(n) if i >> l & 1)
-            for k in range(n):
-                if drop_bits >> k & 1:
-                    gates.append(Gate(n, k, controls))
+        for j in range(n):
+            if add_bits >> j & 1:
+                gates.append(Gate(n, j, v, v))
+        for k in range(n):
+            if drop_bits >> k & 1:
+                gates.append(Gate(n, k, i, i))
         entries = fold(entries, gates[step:])
 
     if entries != list(range(size)):

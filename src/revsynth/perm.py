@@ -8,7 +8,6 @@ significant bit; printed binary strings put the most significant bit first.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Sequence
 
 MAX_LINES = 24
@@ -64,12 +63,13 @@ class TruthVector:
         """Inverse of :meth:`rank` under lexicographic (Lehmer code) order."""
         if n < 1:
             raise ValueError(f"line count must be >= 1, got {n}")
-        if n > MAX_LINES:  # before (2^n)!, which is too large to compute
+        if n > MAX_LINES:
             raise ValueError(f"{n} lines exceeds the supported maximum {MAX_LINES}")
-        size = 1 << n
-        if not 0 <= r < math.factorial(size):
-            raise ValueError(f"rank {r} out of range [0, (2^{n})!)")
-        return cls(unrank_entries(r, size))
+        try:
+            entries = unrank_entries(r, 1 << n)
+        except ValueError:
+            raise ValueError(f"rank {r} out of range [0, (2^{n})!)") from None
+        return cls(entries)
 
     # -- permutation algebra ----------------------------------------------
 
@@ -168,12 +168,15 @@ def rank_entries(entries: Sequence[int]) -> int:
 
 
 def unrank_entries(r: int, k: int) -> list[int]:
+    """The permutation of range(k) with rank ``r``; ValueError unless 0 <= r < k!."""
     digits = [0] * k
     for i in range(k - 1, 0, -1):
         r, digits[i] = divmod(r, k - i)
+    if not 0 <= r < k:  # r is now the rank // (k-1)!, so this is 0 <= rank < k!
+        raise ValueError(f"rank out of range [0, {k}!)")
     digits[0] = r
-    remaining = list(range(k))
-    return [remaining.pop(d) for d in digits]
+    remaining = list(range(k - 1, -1, -1))  # descending: the d-th smallest is at -1 - d
+    return [remaining.pop(-1 - d) for d in digits]
 
 
 def all_truth_vectors(n: int) -> Iterable[TruthVector]:

@@ -31,7 +31,7 @@ from revsynth.decompose import (
     verify_equivalence,
 )
 from revsynth.elementary import verify_elementary
-from revsynth.gates import Circuit, Gate, enumerate_ch, enumerate_ci, mc_gate, not_gate, parse_circuit, toffoli
+from revsynth.gates import Circuit, enumerate_ch, enumerate_ci, mc_gate, not_gate, parse_circuit, toffoli
 from revsynth.hypercube import hc_synthesize
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector
@@ -381,7 +381,7 @@ def test_criterion_09_decomposition_equivalence_sweep():
     counts_ok = True
     cost_ok = True
     for s in range(4, 11):
-        positive = Gate(s, s - 1, frozenset(range(s - 1)))
+        positive = toffoli(s, range(s - 1), s - 1)
         ladder = ladder_zeroed(positive)
         counts_ok = counts_ok and len(ladder.gates) == 2 * s - 5
         cost_ok = cost_ok and circuit_cost(ladder.gates, ZERO)[1] == 10 * s - 25
@@ -400,7 +400,7 @@ def test_criterion_09_decomposition_equivalence_sweep():
                 assert verify_equivalence(g, expand_one_garbage(g)).equivalent
                 target2, free = rng.sample(range(s + 1), 2)
                 controls = frozenset(range(s + 1)) - {target2, free}
-                gf = Gate(s + 1, target2, controls, frozenset(
+                gf = toffoli(s + 1, controls, target2, (
                     c for c in controls if rng.random() < 0.5
                 ))
                 quad = split_one_borrowed(gf)

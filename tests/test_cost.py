@@ -12,7 +12,7 @@ from revsynth.cost import (
     synthesis_gate_bound,
     worst_case_qc,
 )
-from revsynth.gates import Circuit, Gate, cnot, not_gate, parse_circuit, toffoli
+from revsynth.gates import Circuit, cnot, not_gate, parse_circuit, toffoli
 
 ZERO = GarbagePolicy.ZERO
 ONE = GarbagePolicy.ONE
@@ -23,23 +23,23 @@ def test_small_gate_table():
     assert gate_cost(not_gate(1, 0), ZERO) == 1
     assert gate_cost(cnot(2, 0, 1), ZERO) == 1
     assert gate_cost(toffoli(3, [0, 1], 2), ZERO) == 5
-    one_neg = Gate(3, 2, frozenset({0, 1}), frozenset({0}))
+    one_neg = toffoli(3, {0, 1}, 2, {0})
     assert gate_cost(one_neg, ZERO) == 5
-    two_neg = Gate(3, 2, frozenset({0, 1}), frozenset({0, 1}))
+    two_neg = toffoli(3, {0, 1}, 2, {0, 1})
     assert gate_cost(two_neg, ZERO) == 7
 
 
 def test_negative_cnot_extension_costs_two():
-    g = Gate(2, 1, frozenset({0}), frozenset({0}))
+    g = toffoli(2, {0}, 1, {0})
     assert gate_cost(g, ZERO) == 2
 
 
 def test_zero_garbage_formula():
     # size 9 all-positive: 2^9 - 3
-    g9 = Gate(9, 8, frozenset(range(8)))
+    g9 = toffoli(9, range(8), 8)
     assert gate_cost(g9, ZERO) == 509
     # size 6 with four negatives: 2^6 - 3 + 8
-    g6 = Gate(6, 5, frozenset(range(5)), frozenset({0, 1, 2, 3}))
+    g6 = toffoli(6, range(5), 5, {0, 1, 2, 3})
     assert gate_cost(g6, ZERO) == 69
 
 
@@ -73,8 +73,8 @@ def test_cost_of_validation():
 
 
 def test_cost_depends_only_on_size_and_negatives():
-    a = Gate(5, 0, frozenset({1, 2, 3}), frozenset({2}))
-    b = Gate(5, 4, frozenset({0, 1, 3}), frozenset({0}))
+    a = toffoli(5, {1, 2, 3}, 0, {2})
+    b = toffoli(5, {0, 1, 3}, 4, {0})
     assert gate_cost(a, ZERO) == gate_cost(b, ZERO)
 
 

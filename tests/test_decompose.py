@@ -16,7 +16,7 @@ from revsynth.decompose import (
     verify_circuit_equivalence,
     verify_equivalence,
 )
-from revsynth.gates import Circuit, Gate, mc_gate, parse_circuit
+from revsynth.gates import Circuit, Gate, mc_gate, parse_circuit, toffoli
 
 
 def random_full_gate(n: int, rng: random.Random) -> Gate:
@@ -31,12 +31,12 @@ def random_gate_with_free_line(n: int, rng: random.Random) -> Gate:
     target, free = rng.sample(range(n), 2)
     controls = frozenset(range(n)) - {target, free}
     negated = frozenset(l for l in controls if rng.random() < 0.5)
-    return Gate(n, target, controls, negated)
+    return toffoli(n, controls, target, negated)
 
 
 def test_zeroed_ladder_matches_reference_instance():
     # size-6 gate, controls a+ b- c- d- e-, target f; three zeroed helpers
-    g = Gate(6, 5, frozenset(range(5)), frozenset({1, 2, 3, 4}))
+    g = toffoli(6, range(5), 5, {1, 2, 3, 4})
     ladder = ladder_zeroed(g)
     assert ladder.ancilla_lines == 3
     assert ladder.ancilla_mode is AncillaMode.ZEROED_RESTORED
@@ -54,7 +54,7 @@ def test_zeroed_ladder_matches_reference_instance():
 
 def test_zeroed_ladder_all_positive_cost_is_linear():
     for s in (4, 6, 8, 10):
-        g = Gate(s, s - 1, frozenset(range(s - 1)))
+        g = toffoli(s, range(s - 1), s - 1)
         ladder = ladder_zeroed(g)
         assert len(ladder.gates) == 2 * s - 5
         gc, qc = circuit_cost(ladder.gates, GarbagePolicy.ZERO)
@@ -64,11 +64,11 @@ def test_zeroed_ladder_all_positive_cost_is_linear():
 
 def test_zeroed_ladder_size_floor():
     with pytest.raises(ValueError, match="size >= 4"):
-        ladder_zeroed(Gate(3, 2, frozenset({0, 1})))
+        ladder_zeroed(toffoli(3, {0, 1}, 2))
 
 
 def test_borrowed_ladder_matches_reference_instance():
-    g = Gate(6, 5, frozenset(range(5)), frozenset({1, 2, 3, 4}))
+    g = toffoli(6, range(5), 5, {1, 2, 3, 4})
     network = ladder_borrowed(g)
     assert network.ancilla_lines == 3
     assert network.ancilla_mode is AncillaMode.BORROWED_RESTORED
@@ -93,12 +93,12 @@ def test_borrowed_ladder_matches_reference_instance():
 
 def test_borrowed_ladder_size_floor():
     with pytest.raises(ValueError, match="size >= 5"):
-        ladder_borrowed(Gate(4, 3, frozenset({0, 1, 2})))
+        ladder_borrowed(toffoli(4, {0, 1, 2}, 3))
 
 
 def test_split_matches_reference_instance():
     # size-8 gate on nine lines: controls a+ b- ... g-, target i, h free
-    g = Gate(9, 8, frozenset(range(7)), frozenset({1, 2, 3, 4, 5, 6}))
+    g = toffoli(9, range(7), 8, {1, 2, 3, 4, 5, 6})
     g1, g2, g3, g4 = split_one_borrowed(g)
     assert (g1, g2) == (g3, g4)
     assert g1.spec() == "t6 a,b',c',d',e',h"
@@ -116,7 +116,7 @@ def test_split_needs_free_line():
 
 def test_split_halves_sizes():
     for s in range(5, 11):
-        g = Gate(s + 1, s, frozenset(range(s - 1)))  # line s-1 free
+        g = toffoli(s + 1, range(s - 1), s)  # line s-1 free
         g1, g2, _, _ = split_one_borrowed(g)
         assert len(g1.controls) == (s + 2) // 2
         assert len(g2.controls) == (s - 1) - (s + 2) // 2 + 1  # plus borrow
@@ -124,7 +124,7 @@ def test_split_halves_sizes():
 
 
 def test_expand_one_garbage_reaches_toffoli_size():
-    g = Gate(9, 8, frozenset(range(7)), frozenset({1, 2, 3, 4, 5, 6}))
+    g = toffoli(9, range(7), 8, {1, 2, 3, 4, 5, 6})
     expansion = expand_one_garbage(g)
     assert expansion.ancilla_lines == 0  # reuses the free principal line
     assert all(x.size <= 3 for x in expansion.gates.gates)
@@ -142,7 +142,7 @@ def test_expand_one_garbage_full_control_adds_one_line():
 
 
 def test_expansions_leave_non_matching_inputs_alone():
-    g = Gate(5, 4, frozenset(range(4)), frozenset({1}))
+    g = toffoli(5, range(4), 4, {1})
     ladder = ladder_zeroed(g)
     gates = ladder.gates
     for word in range(1 << 5):
@@ -154,7 +154,7 @@ def test_expansions_leave_non_matching_inputs_alone():
 
 
 def test_mutated_network_fails_with_counterexample():
-    g = Gate(6, 5, frozenset(range(5)), frozenset({2}))
+    g = toffoli(6, range(5), 5, {2})
     ladder = ladder_zeroed(g)
     broken = AncillaCircuit(
         ladder.principal_lines,
@@ -177,7 +177,7 @@ def test_mutated_network_fails_with_counterexample():
 
 
 def test_single_gate_passthrough_verifies():
-    g = Gate(2, 1, frozenset({0}))
+    g = toffoli(2, {0}, 1)
     impl = AncillaCircuit(2, 0, AncillaMode.ZEROED_RESTORED, Circuit(2, (g,)))
     assert verify_equivalence(g, impl).equivalent
 
@@ -202,13 +202,13 @@ def test_randomized_polarities_all_strategies(size):
 
 
 def test_verify_rejects_mismatch_and_budget():
-    g = Gate(4, 3, frozenset({0, 1, 2}))
+    g = toffoli(4, {0, 1, 2}, 3)
     ladder = ladder_zeroed(g)
     with pytest.raises(ValueError, match="lines"):
-        verify_equivalence(Gate(5, 4, frozenset({0, 1, 2, 3})), ladder)
+        verify_equivalence(toffoli(5, {0, 1, 2, 3}, 4), ladder)
     wide = AncillaCircuit(20, 3, AncillaMode.BORROWED_RESTORED, Circuit(23))
     with pytest.raises(ValueError, match="budget"):
-        verify_equivalence(Gate(20, 0, frozenset(range(1, 20))), wide)
+        verify_equivalence(toffoli(20, range(1, 20), 0), wide)
 
 
 def test_expansions_beyond_line_limit_name_the_ancilla():
@@ -315,7 +315,7 @@ POOLED_EXPANSION_TEXTS = {
 
 
 def test_expansion_texts_are_pinned():
-    g = Gate(9, 8, frozenset(range(7)), frozenset({1, 2, 3, 4, 5, 6}))
+    g = toffoli(9, range(7), 8, {1, 2, 3, 4, 5, 6})
     expansion = expand_one_garbage(g)
     assert len(expansion.gates) == 32
     assert expansion.gates.to_text() == ONE_GARBAGE_SIZE_8_TEXT

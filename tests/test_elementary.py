@@ -15,7 +15,7 @@ from revsynth.elementary import (
     verify_elementary,
     x_root,
 )
-from revsynth.gates import Gate
+from revsynth.gates import toffoli
 from revsynth.perm import TruthVector
 
 
@@ -68,7 +68,7 @@ def test_toffoli_elementary_count_is_five():
 
 def test_controlled_x_matrix_is_gate_permutation_matrix():
     """The dense unitary of a classical gate is its permutation matrix."""
-    g = Gate(3, 1, frozenset({0, 2}), frozenset({2}))
+    g = toffoli(3, {0, 2}, 1, {2})
     qg = QuantumGate(X, target=1, controls=frozenset({0, 2}), negated=frozenset({2}))
     m = build_unitary([qg], 3)
     perm = g.perm()

@@ -42,14 +42,22 @@ def cascade() -> Circuit:
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        Gate(3, 3)  # target out of range
-    with pytest.raises(ValueError):
-        Gate(3, 1, frozenset({1}))  # target is a control
-    with pytest.raises(ValueError):
-        Gate(3, 0, frozenset({1}), frozenset({2}))  # negated non-control
-    with pytest.raises(ValueError):
-        Gate(0, 0)
+    bad = [
+        lambda: Gate(3, 3),  # target out of range
+        lambda: Gate(0, 0),
+        lambda: Gate(3, 0, 0b1000),  # control bit >= n
+        lambda: Gate(3, 0, -2),  # negative control mask
+        lambda: Gate(3, 0, 0b110, -2),  # negative value mask
+        lambda: Gate(3, 0, 0b010, 0b100),  # value bit outside the control mask
+        lambda: Gate(3, 1, 0b010),  # target bit inside the control mask
+        lambda: toffoli(3, {1}, 1),  # target is a control
+        lambda: toffoli(3, {1}, 0, {2}),  # negated non-control
+        lambda: toffoli(3, {3}, 0),  # control line out of range
+        lambda: toffoli(3, {-1}, 0),
+    ]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_not_gate_single_line():
@@ -68,7 +76,7 @@ def test_cnot_placements():
 
 
 def test_full_control_step_gate():
-    g = Gate(3, 1, frozenset({0, 2}))  # controls a, c positive; target b
+    g = toffoli(3, {0, 2}, 1)  # controls a, c positive; target b
     before = TruthVector([7, 4, 1, 0, 3, 2, 6, 5])
     assert tuple(g.apply(before)) == (5, 4, 1, 0, 3, 2, 6, 7)
 
@@ -81,12 +89,12 @@ def test_gate_perm_matches_identity_application():
         others = [l for l in range(n) if l != target]
         controls = frozenset(rng.sample(others, rng.randint(0, len(others))))
         negated = frozenset(c for c in controls if rng.random() < 0.5)
-        g = Gate(n, target, controls, negated)
+        g = toffoli(n, controls, target, negated)
         assert g.perm() == g.apply(TruthVector.identity(n))
 
 
 def test_apply_gate_equals_left_composition():
-    g = Gate(3, 2, frozenset({0}), frozenset({0}))
+    g = toffoli(3, {0}, 2, {0})
     tv = TruthVector([5, 2, 7, 4, 1, 6, 3, 0])
     assert g.apply(tv) == g.perm() * tv
 
@@ -114,6 +122,16 @@ def test_generator_set_is_fixed_by_label_and_n():
         gen = GeneratorSet(label, 3)
         assert gen == enumerate_set(3) and hash(gen) == hash(enumerate_set(3))
         assert gen.members == enumerate_set(3).members
+        assert [g.spec() for g in gen.gates()] == GENERATOR_SPECS_3[label]
+
+
+# Canonical member order of the n = 3 generating sets, as specs.
+GENERATOR_SPECS_3 = {
+    "I": ["t1 a", "t2 b,a", "t2 c,a", "t3 b,c,a", "t1 b", "t2 a,b", "t2 c,b", "t3 a,c,b",
+          "t1 c", "t2 a,c", "t2 b,c", "t3 a,b,c"],
+    "H": ["t3 b',c',a", "t3 b,c',a", "t3 b',c,a", "t3 b,c,a", "t3 a',c',b", "t3 a,c',b",
+          "t3 a',c,b", "t3 a,c,b", "t3 a',b',c", "t3 a,b',c", "t3 a',b,c", "t3 a,b,c"],
+}
 
 
 def test_ci_two_lines_is_two_nots_and_two_cnots():
@@ -224,7 +242,7 @@ def test_parse_example_dialect():
     c = parse_circuit(text)
     assert c.n == 3
     assert c.gates[0] == toffoli(3, [1, 2], 0)
-    assert c.gates[1] == Gate(3, 1, frozenset({0}), frozenset({0}))
+    assert c.gates[1] == toffoli(3, {0}, 1, {0})
     assert c.gates[2] == not_gate(3, 2)
 
 
@@ -265,27 +283,30 @@ def test_mc_gate_helper():
 
 
 @st.composite
+def gate_lines(draw, n):
+    target = draw(st.integers(0, n - 1))
+    others = [l for l in range(n) if l != target]
+    controls = draw(st.sets(st.sampled_from(others))) if others else set()
+    negated = draw(st.sets(st.sampled_from(sorted(controls)))) if controls else set()
+    return target, controls, negated
+
+
+@st.composite
 def mixed_polarity_cascades(draw):
     n = draw(st.integers(1, 10))
-    gates = []
-    for _ in range(draw(st.integers(0, 12))):
-        target = draw(st.integers(0, n - 1))
-        others = [l for l in range(n) if l != target]
-        controls = draw(st.sets(st.sampled_from(others))) if others else set()
-        negated = draw(st.sets(st.sampled_from(sorted(controls)))) if controls else set()
-        gates.append(Gate(n, target, frozenset(controls), frozenset(negated)))
-    return n, gates
+    return n, draw(st.lists(gate_lines(n), max_size=12))
 
 
-def _fires(g: Gate, v: int) -> bool:
-    # Per-line restatement of the firing rule, independent of the masks.
-    return all((v >> c & 1) == (c not in g.negated) for c in g.controls)
+def _fires(controls, negated, v: int) -> bool:
+    # Per-line restatement of the firing rule on the drawn line sets, independent of the masks.
+    return all((v >> c & 1) == (c not in negated) for c in controls)
 
 
 @settings(max_examples=150, deadline=None)
 @given(mixed_polarity_cascades())
 def test_fold_kernels_agree(case):
-    n, gates = case
+    n, lines = case
+    gates = [toffoli(n, controls, target, negated) for target, controls, negated in lines]
     size = 1 << n
     by_list = list(fold(range(size), gates))
     by_words = fold_words(np.arange(size, dtype=np.uint32), gates)
@@ -296,6 +317,17 @@ def test_fold_kernels_agree(case):
         tv = g.apply(tv)
     assert list(tv) == by_list
     reference = list(range(size))
-    for g in gates:
-        reference = [v ^ (1 << g.target) if _fires(g, v) else v for v in reference]
+    for target, controls, negated in lines:
+        reference = [v ^ (1 << target) if _fires(controls, negated, v) else v for v in reference]
     assert reference == by_list
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_toffoli_views_and_text_round_trip(data):
+    n = data.draw(st.integers(1, 10))
+    target, controls, negated = data.draw(gate_lines(n))
+    g = toffoli(n, controls, target, negated)
+    assert g.controls == frozenset(controls) and g.negated == frozenset(negated)
+    assert g.size == len(controls) + 1 and g.num_negative == len(negated)
+    assert parse_circuit(Circuit(n, (g,)).to_text()).gates == (g,)

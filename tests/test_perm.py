@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -141,6 +142,8 @@ def test_unrank_range_checks():
         TruthVector.unrank(-1, 2)
     with pytest.raises(ValueError):
         TruthVector.unrank(24, 2)
+    with pytest.raises(ValueError, match=r"^rank 40320 out of range \[0, \(2\^3\)!\)$"):
+        TruthVector.unrank(math.factorial(8), 3)
 
 
 def test_unrank_range_error_never_formats_the_factorial():
@@ -157,6 +160,12 @@ def test_unrank_refuses_too_many_lines_quickly():
     with pytest.raises(ValueError, match="supported maximum 24"):
         TruthVector.unrank(0, 25)
     assert time.perf_counter() - started < 0.5
+
+
+def test_unrank_at_the_line_limit_is_quick():
+    started = time.perf_counter()
+    assert TruthVector.unrank(0, 18) == TruthVector.identity(18)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_immutable():
