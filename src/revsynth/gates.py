@@ -93,7 +93,7 @@ class Gate:
     # -- semantics -----------------------------------------------------------
 
     def apply_value(self, value: int) -> int:
-        return fold([value], (self,))[0]
+        return int(fold_words(np.array([value], dtype=np.uint32), (self,))[0])
 
     def apply(self, tv: TruthVector) -> TruthVector:
         if tv.n != self.n:
@@ -121,23 +121,74 @@ class Gate:
 # -- the gate-action kernel ----------------------------------------------------
 #
 # A gate flips its target bit in every value v with v & control_mask equal to
-# value_mask.  These two folds are the only places that rule is evaluated.
+# value_mask.  The list fold (fold, fold_into) and fold_words are the only
+# places that rule is evaluated.  On a permutation the firing values pair up:
+# v = value_mask | s and v | flip for every submask s of the lines that are
+# neither controls nor the target, so a gate with k controls on n lines is
+# 2^(n-1-k) swaps, one for a full-control gate.  The list kernel walks those
+# submasks and swaps the two values' positions through the inverse, never
+# looking at the other entries.
 
-def fold(values: Sequence[int], gates: Iterable[Gate]) -> Sequence[int]:
-    """Apply ``gates`` in order to every value of a plain integer sequence.
+def fold(values: Sequence[int], gates: Iterable[Gate]) -> list[int]:
+    """Apply ``gates`` in order to a permutation of ``range(len(values))``.
 
-    Returns a new list, or ``values`` itself when ``gates`` is empty.
+    Returns a new list; ``values`` is not modified.  Raises ``ValueError``
+    naming the first repeated or out-of-range value when ``values`` is not
+    such a permutation.  Building the inverse costs O(len(values)) once;
+    each gate then costs its swap count 2^(n-1-k), not 2^n.  Gates with few
+    controls are the worst case, since a swap costs about three entry
+    comparisons.  Through ``Circuit.apply`` on 2^16 entries (CPython 3.11,
+    2-vCPU Xeon), 20 NOT gates took 0.22-0.41 s where comparing every entry
+    took 0.08-0.11 s, 20 CNOTs about as long as the comparisons, and two or
+    more controls less time (four controls: 0.04-0.08 s against
+    0.13-0.22 s).  No synthesizer emits long runs of such gates.
     """
+    entries = list(values)
+    size = len(entries)
+    where = [-1] * size
+    for pos, v in enumerate(entries):
+        if not 0 <= v < size:
+            raise ValueError(f"not a permutation: value {v} out of range [0, {size})")
+        if where[v] >= 0:
+            raise ValueError(f"not a permutation: value {v} occurs twice")
+        where[v] = pos
+    fold_into(entries, where, gates)
+    return entries
+
+
+def fold_into(values: list[int], where: list[int], gates: Iterable[Gate]) -> None:
+    """:func:`fold` in place, for callers that keep a permutation and its inverse.
+
+    ``where[v]`` must be the position of ``v`` in ``values``; both lists are
+    updated together, so a caller can fold step after step without
+    rebuilding the inverse.  Nothing is checked: the cost is the gates'
+    swap counts alone.
+    """
+    full = len(values) - 1
     for g in gates:
-        cm = g.control_mask
-        vm = g.value_mask
         flip = 1 << g.target
-        values = [v ^ flip if v & cm == vm else v for v in values]
-    return values
+        vm = g.value_mask
+        free = full & ~g.control_mask & ~flip
+        s = 0
+        while True:
+            a = vm | s
+            b = a | flip
+            i = where[a]
+            j = where[b]
+            values[i] = b
+            values[j] = a
+            where[a] = j
+            where[b] = i
+            if s == free:
+                break
+            s = (s - free) & free
 
 
 def fold_words(words: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
-    """:func:`fold` over a numpy ``uint32`` word array (up to 2^22 words)."""
+    """The gate rule over a numpy ``uint32`` word array (up to 2^22 words).
+
+    Unlike :func:`fold`, the words need not be a permutation.
+    """
     zero = np.uint32(0)
     for g in gates:
         cm = np.uint32(g.control_mask)

@@ -29,6 +29,18 @@ def hc_synthesize(f: TruthVector, order: str = RIGHT) -> Circuit:
     """
     if order not in (RIGHT, LEFT):
         raise ValueError(f"unknown order {order!r} (expected 'right' or 'left')")
+    return _circuit(f.n, _scan(f, order))
+
+
+def hc_bidirectional(f: TruthVector) -> Circuit:
+    """The smaller of the right-order and left-order cascades (tie: right)."""
+    right = _scan(f, RIGHT)
+    left = _scan(f, LEFT)
+    return _circuit(f.n, right if len(right) <= len(left) else left)
+
+
+def _scan(f: TruthVector, order: str) -> list[tuple[int, int, int]]:
+    """The cascade of :func:`hc_synthesize` as (target, control_mask, value_mask)."""
     n = f.n
     size = 1 << n
     entries = list(f.entries)
@@ -36,7 +48,7 @@ def hc_synthesize(f: TruthVector, order: str = RIGHT) -> Circuit:
     for pos, value in enumerate(entries):
         position_of[value] = pos
 
-    gates: list[Gate] = []
+    gates: list[tuple[int, int, int]] = []
     full = size - 1
     scan = range(size - 1, 0, -1) if order == RIGHT else range(size - 1)
     for i in scan:
@@ -46,7 +58,7 @@ def hc_synthesize(f: TruthVector, order: str = RIGHT) -> Circuit:
         for j in range(n):
             bit = 1 << j
             if (v ^ i) & bit:
-                gates.append(Gate(n, j, full ^ bit, v & ~bit))
+                gates.append((j, full ^ bit, v & ~bit))
                 partner = v ^ bit
                 other = position_of[partner]
                 entries[i], entries[other] = partner, v
@@ -55,11 +67,8 @@ def hc_synthesize(f: TruthVector, order: str = RIGHT) -> Circuit:
 
     if entries != list(range(size)):
         raise RuntimeError("synthesis failed to reach the identity")
-    return Circuit(n, tuple(gates))
+    return gates
 
 
-def hc_bidirectional(f: TruthVector) -> Circuit:
-    """The smaller of the right-order and left-order cascades (tie: right)."""
-    right = hc_synthesize(f, RIGHT)
-    left = hc_synthesize(f, LEFT)
-    return right if len(right) <= len(left) else left
+def _circuit(n: int, gates: list[tuple[int, int, int]]) -> Circuit:
+    return Circuit(n, tuple(Gate(n, *g) for g in gates))

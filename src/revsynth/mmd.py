@@ -9,7 +9,7 @@ reverse it realizes the function from the identity.  Gate count never exceeds
 
 from __future__ import annotations
 
-from .gates import Circuit, Gate, fold
+from .gates import Circuit, Gate, fold_into
 from .perm import TruthVector
 
 
@@ -32,6 +32,9 @@ def mmd_synthesize(f: TruthVector) -> Circuit:
     n = f.n
     size = 1 << n
     entries = list(f.entries)
+    where = [0] * size
+    for pos, value in enumerate(entries):
+        where[value] = pos
     gates: list[Gate] = []
 
     for i in range(size):
@@ -47,7 +50,7 @@ def mmd_synthesize(f: TruthVector) -> Circuit:
         for k in range(n):
             if drop_bits >> k & 1:
                 gates.append(Gate(n, k, i, i))
-        entries = fold(entries, gates[step:])
+        fold_into(entries, where, gates[step:])
 
     if entries != list(range(size)):
         raise RuntimeError("synthesis failed to reach the identity")

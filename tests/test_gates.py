@@ -294,7 +294,7 @@ def gate_lines(draw, n):
 @st.composite
 def mixed_polarity_cascades(draw):
     n = draw(st.integers(1, 10))
-    return n, draw(st.lists(gate_lines(n), max_size=12))
+    return n, draw(st.lists(gate_lines(n), max_size=12)), draw(st.permutations(range(1 << n)))
 
 
 def _fires(controls, negated, v: int) -> bool:
@@ -305,21 +305,32 @@ def _fires(controls, negated, v: int) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(mixed_polarity_cascades())
 def test_fold_kernels_agree(case):
-    n, lines = case
+    n, lines, start = case
     gates = [toffoli(n, controls, target, negated) for target, controls, negated in lines]
-    size = 1 << n
-    by_list = list(fold(range(size), gates))
-    by_words = fold_words(np.arange(size, dtype=np.uint32), gates)
+    values = list(start)
+    by_list = fold(values, gates)
+    assert values == start  # the input is not mutated
+    by_words = fold_words(np.array(start, dtype=np.uint32), gates)
     assert by_words.dtype == np.uint32
     assert by_words.tolist() == by_list
-    tv = TruthVector.identity(n)
+    tv = TruthVector(start)
     for g in gates:
         tv = g.apply(tv)
     assert list(tv) == by_list
-    reference = list(range(size))
+    reference = list(start)
     for target, controls, negated in lines:
         reference = [v ^ (1 << target) if _fires(controls, negated, v) else v for v in reference]
     assert reference == by_list
+
+
+@pytest.mark.parametrize(
+    "values, gates",
+    [([0, 0], ()), ([2, 0], ()), ([1], [not_gate(1, 0)])],
+    ids=["repeated", "out-of-range", "not-range-1"],
+)
+def test_fold_rejects_a_non_permutation(values, gates):
+    with pytest.raises(ValueError, match="not a permutation"):
+        fold(values, gates)
 
 
 @settings(max_examples=200, deadline=None)
