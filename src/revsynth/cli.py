@@ -99,7 +99,9 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= BFS_MAX_LINES:
+    if args.n < 1:
+        raise ValueError(f"line count must be >= 1, got {args.n}")
+    if args.n > BFS_MAX_LINES:
         raise ValueError(
             f"enumeration visits (2^n)! permutations; n = {args.n} is beyond "
             f"desk scale (cap {BFS_MAX_LINES})"
@@ -114,24 +116,20 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     csv_text = "\n".join(lines) + "\n"
     if args.csv:
         _write_text(args.csv, csv_text)
+    if args.format == "json":
+        report = {
+            "algorithm": args.algo,
+            "n": args.n,
+            "histogram": {str(k): histogram[k] for k in sorted(histogram)},
+            "average": average,
+        }
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return 0
     print(f"algorithm: {args.algo}")
     print(f"permutations: {total}")
     for k in sorted(histogram, reverse=True):
         print(f"gates {k:>3}: {histogram[k]}")
     print(f"average gates: {average:.2f}")
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "algorithm": args.algo,
-                    "n": args.n,
-                    "histogram": {str(k): histogram[k] for k in sorted(histogram)},
-                    "average": average,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
     return 0
 
 
@@ -248,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", metavar="FILE",
                    help="write the binary distance table (16-byte header, "
                         "then one byte per permutation in rank order)")
-    p.add_argument("--force", action="store_true",
-                   help="reserved; n = 4 is rejected regardless (16! vertices)")
     p.add_argument("--audit", action="store_true",
                    help="also sweep the Hamming-distance sandwich (set H)")
     p.set_defaults(func=cmd_bfs)

@@ -43,10 +43,7 @@ def _scan(f: TruthVector, order: str) -> list[tuple[int, int, int]]:
     """The cascade of :func:`hc_synthesize` as (target, control_mask, value_mask)."""
     n = f.n
     size = 1 << n
-    entries = list(f.entries)
-    position_of = [0] * size
-    for pos, value in enumerate(entries):
-        position_of[value] = pos
+    entries, where = list(f.entries), list(f.where)
 
     gates: list[tuple[int, int, int]] = []
     full = size - 1
@@ -60,9 +57,9 @@ def _scan(f: TruthVector, order: str) -> list[tuple[int, int, int]]:
             if (v ^ i) & bit:
                 gates.append((j, full ^ bit, v & ~bit))
                 partner = v ^ bit
-                other = position_of[partner]
+                other = where[partner]
                 entries[i], entries[other] = partner, v
-                position_of[partner], position_of[v] = i, other
+                where[partner], where[v] = i, other
                 v = partner
 
     if entries != list(range(size)):

@@ -31,10 +31,7 @@ def mmd_synthesize(f: TruthVector) -> Circuit:
     """
     n = f.n
     size = 1 << n
-    entries = list(f.entries)
-    where = [0] * size
-    for pos, value in enumerate(entries):
-        where[value] = pos
+    entries, where = list(f.entries), list(f.where)
     gates: list[Gate] = []
 
     for i in range(size):

@@ -14,12 +14,17 @@ MAX_LINES = 24
 
 
 class TruthVector:
-    """A bijection over {0, ..., 2^n - 1}, immutable after construction."""
+    """A bijection over {0, ..., 2^n - 1}, immutable after construction.
 
-    __slots__ = ("n", "entries")
+    ``where[v]`` is the position of ``v`` in ``entries``: the inverse,
+    built while the constructor checks the bijection.
+    """
+
+    __slots__ = ("n", "entries", "where")
 
     n: int
     entries: tuple[int, ...]
+    where: tuple[int, ...]
 
     def __init__(self, entries: Sequence[int]):
         entries = tuple(entries)
@@ -29,15 +34,16 @@ class TruthVector:
         n = size.bit_length() - 1
         if n > MAX_LINES:
             raise ValueError(f"{n} lines exceeds the supported maximum {MAX_LINES}")
-        seen = [False] * size
-        for value in entries:
+        where = [-1] * size
+        for pos, value in enumerate(entries):
             if not 0 <= value < size:
                 raise ValueError(f"value {value} out of range [0, {size})")
-            if seen[value]:
+            if where[value] >= 0:
                 raise ValueError(f"not a bijection: value {value} occurs twice")
-            seen[value] = True
+            where[value] = pos
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "where", tuple(where))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruthVector is immutable")
@@ -86,10 +92,7 @@ class TruthVector:
     __mul__ = compose
 
     def inverse(self) -> "TruthVector":
-        inv = [0] * len(self.entries)
-        for i, value in enumerate(self.entries):
-            inv[value] = i
-        return TruthVector(inv)
+        return TruthVector(self.where)
 
     def is_identity(self) -> bool:
         return all(value == i for i, value in enumerate(self.entries))

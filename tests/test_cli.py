@@ -109,6 +109,19 @@ def test_enumerate_rejects_large_n(capsys):
     assert "desk scale" in capsys.readouterr().err
 
 
+def test_enumerate_rejects_zero_lines(capsys):
+    assert main(["enumerate", "--n", "0", "--algo", "mmd"]) == 1
+    assert capsys.readouterr().err == "error: line count must be >= 1, got 0\n"
+
+
+def test_enumerate_json_prints_only_json(capsys):
+    assert main(["enumerate", "--n", "2", "--algo", "mmd", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["algorithm"] == "mmd" and report["n"] == 2
+    assert sum(report["histogram"].values()) == 24
+    assert report["histogram"]["0"] == 1
+
+
 def test_bfs_with_csv_and_dump(tmp_path, capsys):
     csv = tmp_path / "h2.csv"
     dump = tmp_path / "h2.bin"
@@ -125,7 +138,7 @@ def test_bfs_with_csv_and_dump(tmp_path, capsys):
 
 
 def test_bfs_rejects_sixteen_factorial(capsys):
-    assert main(["bfs", "--set", "I", "--n", "4", "--force"]) == 1
+    assert main(["bfs", "--set", "I", "--n", "4"]) == 1
     assert "20922789888000" in capsys.readouterr().err
 
 

@@ -184,9 +184,39 @@ def _reference_mmd(f: TruthVector) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def _reference_hc(f: TruthVector, order: str) -> Circuit:
+    # The scan of hc_synthesize with no position table: each gate is applied
+    # by testing every entry, and the scanned value is reread after it.
+    n = f.n
+    full = (1 << n) - 1
+    entries = list(f.entries)
+    gates = []
+    for i in range(full, 0, -1) if order == "right" else range(full):
+        for j in range(n):
+            v = entries[i]
+            bit = 1 << j
+            if (v ^ i) & bit:
+                g = Gate(n, j, full ^ bit, v & ~bit)
+                entries = [x ^ bit if x & g.control_mask == g.value_mask else x for x in entries]
+                gates.append(g)
+    assert entries == list(range(1 << n))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1 << n))))
+def test_hypercube_scans_equal_their_reference(entries):
+    f = TruthVector(entries)
+    bound = (f.n - 1) * (1 << f.n) + 1
+    for order in ("right", "left"):
+        reference = _reference_hc(f, order)
+        assert hc_synthesize(f, order) == reference
+        assert len(reference) <= bound
+
+
 def _reference_bidirectional(f: TruthVector) -> Circuit:
-    right = hc_synthesize(f, "right")
-    left = hc_synthesize(f, "left")
+    right = _reference_hc(f, "right")
+    left = _reference_hc(f, "left")
     return right if len(right) <= len(left) else left
 
 

@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revsynth.perm import TruthVector, rank_entries, unrank_entries
 
@@ -85,6 +87,16 @@ def test_inverse_examples():
     assert tuple(TruthVector([1, 0, 3, 2]).inverse()) == (1, 0, 3, 2)
     assert TruthVector.identity(3).inverse() == TruthVector.identity(3)
     assert tuple(TruthVector([1, 3, 2, 0]).inverse()) == (3, 0, 2, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1 << n))))
+def test_where_is_the_read_only_inverse(entries):
+    tv = TruthVector(entries)
+    assert all(tv.where[tv.entries[i]] == i for i in range(len(tv)))
+    assert tv.inverse().entries == tv.where
+    with pytest.raises(AttributeError):
+        tv.where = tv.entries
 
 
 def test_hamming_counts_differing_bits():
