@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gates import GeneratorSet
+from .gates import GeneratorSet, fold_words
 from .perm import TruthVector, rank_entries, unrank_entries
 
 BFS_MAX_LINES = 3
@@ -140,7 +140,8 @@ def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
     n = gen_set.n
     size = 1 << n
     total = math.factorial(size)
-    gens = np.array([p.entries for p in gen_set.perms()], dtype=np.uint8)
+    identity = np.arange(size, dtype=np.uint32)
+    gens = np.array([fold_words(identity, (g,)) for g in gen_set.members], dtype=np.uint8)
     g = len(gens)
 
     dist = np.full(total, _UNSEEN, dtype=np.uint8)

@@ -134,7 +134,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_bfs(args: argparse.Namespace) -> int:
-    check_bfs_lines(args.n)  # before building the set: n = 10 has 5,120 members
+    check_bfs_lines(args.n)  # first: n >= 11 gets this refusal, not GeneratorSet's range error
     result = bfs(GeneratorSet(args.set, args.n))
     hist = result.histogram
     if args.csv:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import toffoli
+from .gates import fold_words, toffoli
 
 MAX_UNITARY_LINES = 4
 
@@ -49,18 +49,13 @@ class QuantumGate:
     def unitary(self, lines: int) -> np.ndarray:
         """Dense 2^lines x 2^lines matrix of this gate."""
         pattern = toffoli(lines, self.controls, self.target, self.negated)  # validates the lines
-        cm, vm = pattern.control_mask, pattern.value_mask
-        dim = 1 << lines
-        u = self.matrix
-        m = np.zeros((dim, dim), dtype=complex)
-        tbit = 1 << self.target
-        for col in range(dim):
-            if col & cm == vm:
-                b = col >> self.target & 1
-                m[col & ~tbit, col] += u[0, b]
-                m[col | tbit, col] += u[1, b]
-            else:
-                m[col, col] = 1
+        cols = np.arange(1 << lines, dtype=np.uint32)
+        partners = fold_words(cols, (pattern,))
+        fire = np.flatnonzero(partners != cols)  # the columns the gate acts on
+        b = fire >> self.target & 1
+        m = np.eye(1 << lines, dtype=complex)
+        m[fire, fire] = self.matrix[b, b]
+        m[partners[fire], fire] = self.matrix[b ^ 1, b]
         return m
 
 
@@ -92,7 +87,11 @@ def ccu_positive_network(u: np.ndarray) -> list[QuantumGate]:
     the second control steered by the first, C-W dagger, the NOT again, and
     C-W on the first control.
     """
-    w = principal_sqrt(u)
+    return _positive_pattern(principal_sqrt(u))
+
+
+def _positive_pattern(w: np.ndarray) -> list[QuantumGate]:
+    """:func:`ccu_positive_network`'s five gates for a given root W."""
     wd = w.conj().T
     return [
         QuantumGate(w, target=2, controls=frozenset({1})),
@@ -174,16 +173,7 @@ def verify_elementary() -> ElementaryReport:
     # Degenerate root choice: W = X squares to the identity, so the five-gate
     # pattern with W = X must realize a doubly-controlled identity.
     ident = np.eye(2, dtype=complex)
-    rhs_deg = build_unitary(
-        [
-            QuantumGate(X, target=2, controls=frozenset({1})),
-            QuantumGate(X, target=1, controls=frozenset({0})),
-            QuantumGate(X, target=2, controls=frozenset({1})),
-            QuantumGate(X, target=1, controls=frozenset({0})),
-            QuantumGate(X, target=2, controls=frozenset({0})),
-        ],
-        3,
-    )
+    rhs_deg = build_unitary(_positive_pattern(X), 3)
     lhs_deg = build_unitary([ccu_gate(ident)], 3)
     checks.append(
         ElementaryCheck("degenerate_root_identity", _residual(lhs_deg, rhs_deg), UNITARY_TOL)

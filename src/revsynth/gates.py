@@ -90,20 +90,6 @@ class Gate:
     def is_mc_toffoli(self) -> bool:
         return self.size == self.n
 
-    # -- semantics -----------------------------------------------------------
-
-    def apply_value(self, value: int) -> int:
-        return int(fold_words(np.array([value], dtype=np.uint32), (self,))[0])
-
-    def apply(self, tv: TruthVector) -> TruthVector:
-        if tv.n != self.n:
-            raise ValueError(f"line counts differ: gate {self.n}, vector {tv.n}")
-        return TruthVector(fold(tv, (self,)))
-
-    def perm(self) -> TruthVector:
-        """The permutation this gate realizes (its action on the identity)."""
-        return TruthVector(fold(TruthVector.identity(self.n), (self,)))
-
     def spec(self) -> str:
         """Gate in circuit-file notation, e.g. ``t3 a,c',b``."""
         cm, vm = self.control_mask, self.value_mask
@@ -121,38 +107,29 @@ class Gate:
 # -- the gate-action kernel ----------------------------------------------------
 #
 # A gate flips its target bit in every value v with v & control_mask equal to
-# value_mask.  The list fold (fold, fold_into) and fold_words are the only
-# places that rule is evaluated.  On a permutation the firing values pair up:
-# v = value_mask | s and v | flip for every submask s of the lines that are
-# neither controls nor the target, so a gate with k controls on n lines is
-# 2^(n-1-k) swaps, one for a full-control gate.  The list kernel walks those
-# submasks and swaps the two values' positions through the inverse, never
-# looking at the other entries.
-
-def fold(tv: TruthVector, gates: Iterable[Gate]) -> list[int]:
-    """Apply ``gates`` in order to ``tv``; return the resulting entries.
-
-    The walk runs on copies of ``tv.entries`` and its inverse ``tv.where``,
-    so each gate costs its swap count 2^(n-1-k), not 2^n.  Gates with few
-    controls are the worst case, since a swap costs about three entry
-    comparisons.  Through ``Circuit.apply`` on 2^16 entries (CPython 3.11,
-    2-vCPU Xeon), 20 NOT gates took 0.22-0.41 s where comparing every entry
-    took 0.08-0.11 s, 20 CNOTs about as long as the comparisons, and two or
-    more controls less time (four controls: 0.04-0.08 s against
-    0.13-0.22 s).  No synthesizer emits long runs of such gates.
-    """
-    entries = list(tv.entries)
-    fold_into(entries, list(tv.where), gates)
-    return entries
-
+# value_mask.  fold_into and fold_words evaluate that rule for every caller;
+# the one exception is hypercube._scan, which swaps inline for the
+# full-control gates it emits because that was measured faster than building
+# them first.  On a permutation the firing values pair up: v = value_mask | s
+# and v | flip for every submask s of the lines that are neither controls nor
+# the target, so a gate with k controls on n lines is 2^(n-1-k) swaps, one
+# for a full-control gate.  fold_into walks those submasks and swaps the two
+# values' positions through the inverse, never looking at the other entries.
 
 def fold_into(values: list[int], where: list[int], gates: Iterable[Gate]) -> None:
-    """:func:`fold` in place, for callers that keep a permutation and its inverse.
+    """Apply ``gates`` in order to the permutation ``values``, in place.
 
     ``where[v]`` must be the position of ``v`` in ``values``; both lists are
     updated together, so a caller can fold step after step without
-    rebuilding the inverse.  Nothing is checked: the cost is the gates'
-    swap counts alone.
+    rebuilding the inverse.  Nothing is checked (:meth:`Circuit.apply` is
+    the checked entry point): the cost is the gates' swap counts alone,
+    2^(n-1-k) for a gate with k controls, not 2^n.  Gates with few controls
+    are the worst case, since a swap costs about three entry comparisons.
+    Through ``Circuit.apply`` on 2^16 entries (CPython 3.11, 2-vCPU Xeon),
+    20 NOT gates took 0.22-0.41 s where comparing every entry took
+    0.08-0.11 s, 20 CNOTs about as long as the comparisons, and two or more
+    controls less time (four controls: 0.04-0.08 s against 0.13-0.22 s).
+    No synthesizer emits long runs of such gates.
     """
     full = len(values) - 1
     for g in gates:
@@ -177,7 +154,7 @@ def fold_into(values: list[int], where: list[int], gates: Iterable[Gate]) -> Non
 def fold_words(words: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
     """The gate rule over a numpy ``uint32`` word array (up to 2^22 words).
 
-    Unlike :func:`fold`, the words need not be a permutation.
+    Unlike :func:`fold_into`, the words need not be a permutation.
     """
     zero = np.uint32(0)
     for g in gates:
@@ -248,7 +225,9 @@ class Circuit:
     def apply(self, tv: TruthVector) -> TruthVector:
         if tv.n != self.n:
             raise ValueError(f"line counts differ: circuit {self.n}, vector {tv.n}")
-        return TruthVector(fold(tv, self.gates))
+        entries = list(tv.entries)
+        fold_into(entries, list(tv.where), self.gates)
+        return TruthVector(entries)
 
     def inverse(self) -> "Circuit":
         """Reversed cascade; every gate is self-inverse, so gates are reused."""
@@ -333,7 +312,7 @@ def _parse_gate(line: str, n: int, lineno: int) -> Gate:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """An enumerated gate family with the permutations its members realize.
+    """An enumerated gate family: the generators of one Cayley graph.
 
     ``label`` is "I" (all-positive, any arity) or "H" (full-control, any
     polarities); the label and ``n`` fix the members, which are built here.
@@ -343,7 +322,7 @@ class GeneratorSet:
 
     label: str
     n: int
-    members: tuple[tuple[Gate, TruthVector], ...] = field(init=False, compare=False, repr=False)
+    members: tuple[Gate, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.label not in ("I", "H"):
@@ -362,16 +341,10 @@ class GeneratorSet:
                     members.append(Gate(n, target, pattern, pattern))
                 else:  # every other line controls; lines outside the pattern fire on 0
                     members.append(Gate(n, target, full ^ bit, pattern))
-        object.__setattr__(self, "members", tuple((g, g.perm()) for g in members))
+        object.__setattr__(self, "members", tuple(members))
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def gates(self) -> list[Gate]:
-        return [g for g, _ in self.members]
-
-    def perms(self) -> list[TruthVector]:
-        return [p for _, p in self.members]
 
 
 def enumerate_ci(n: int) -> GeneratorSet:

@@ -56,6 +56,8 @@ def _scan(f: TruthVector, order: str) -> list[tuple[int, int, int]]:
             bit = 1 << j
             if (v ^ i) & bit:
                 gates.append((j, full ^ bit, v & ~bit))
+                # The gate swaps v and partner.  The only gate action outside
+                # fold_into/fold_words: swapping inline measured faster.
                 partner = v ^ bit
                 other = where[partner]
                 entries[i], entries[other] = partner, v

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from revsynth.cost import GarbagePolicy, circuit_cost
@@ -16,7 +17,7 @@ from revsynth.decompose import (
     verify_circuit_equivalence,
     verify_equivalence,
 )
-from revsynth.gates import Circuit, Gate, mc_gate, parse_circuit, toffoli
+from revsynth.gates import Circuit, Gate, fold_words, mc_gate, parse_circuit, toffoli
 
 
 def random_full_gate(n: int, rng: random.Random) -> Gate:
@@ -144,13 +145,10 @@ def test_expand_one_garbage_full_control_adds_one_line():
 def test_expansions_leave_non_matching_inputs_alone():
     g = toffoli(5, range(4), 4, {1})
     ladder = ladder_zeroed(g)
-    gates = ladder.gates
-    for word in range(1 << 5):
-        if g.apply_value(word) == word:
-            out = word
-            for x in gates.gates:
-                out = x.apply_value(out)
-            assert out == word
+    words = np.arange(1 << 5, dtype=np.uint32)
+    idle = words[fold_words(words, (g,)) == words]
+    assert len(idle) == 30
+    assert fold_words(idle, ladder.gates.gates).tolist() == idle.tolist()
 
 
 def test_mutated_network_fails_with_counterexample():
@@ -167,13 +165,10 @@ def test_mutated_network_fails_with_counterexample():
     assert outcome.counterexample is not None
     # replay the counterexample: the broken network must truly disagree
     word = outcome.counterexample
-    out = word
-    for x in broken.gates.gates:
-        out = x.apply_value(out)
+    out = int(fold_words(np.array([word], dtype=np.uint32), broken.gates.gates)[0])
     principal = (1 << 6) - 1
-    assert (out & principal) != g.apply_value(word & principal) or (
-        out >> 6 != word >> 6
-    )
+    expected = int(fold_words(np.array([word & principal], dtype=np.uint32), (g,))[0])
+    assert (out & principal) != expected or (out >> 6 != word >> 6)
 
 
 def test_single_gate_passthrough_verifies():

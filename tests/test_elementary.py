@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from revsynth.cost import GarbagePolicy, cost_of
 from revsynth.elementary import (
     V,
     V_DAG,
@@ -15,7 +16,7 @@ from revsynth.elementary import (
     verify_elementary,
     x_root,
 )
-from revsynth.gates import toffoli
+from revsynth.gates import Circuit, toffoli
 from revsynth.perm import TruthVector
 
 
@@ -62,8 +63,11 @@ def test_one_negative_control_identity():
 
 
 def test_toffoli_elementary_count_is_five():
-    # the five-gate network is exactly what the size-3 cost 5 prices
+    # the five-gate networks are exactly what the size-3 cost table prices
     assert len(ccu_positive_network(X)) == 5
+    for u in (X, V):
+        assert len(ccu_positive_network(u)) == cost_of(3, 0, GarbagePolicy.ZERO)
+        assert len(ccu_negative_network(u)) == cost_of(3, 1, GarbagePolicy.ZERO)
 
 
 def test_controlled_x_matrix_is_gate_permutation_matrix():
@@ -71,7 +75,7 @@ def test_controlled_x_matrix_is_gate_permutation_matrix():
     g = toffoli(3, {0, 2}, 1, {2})
     qg = QuantumGate(X, target=1, controls=frozenset({0, 2}), negated=frozenset({2}))
     m = build_unitary([qg], 3)
-    perm = g.perm()
+    perm = Circuit(3, (g,)).perm()
     expected = np.zeros((8, 8))
     for col in range(8):
         expected[perm.entries[col], col] = 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from revsynth.gates import (
     cnot,
     enumerate_ch,
     enumerate_ci,
-    fold,
     fold_words,
     mc_gate,
     not_gate,
@@ -41,6 +41,14 @@ def cascade() -> Circuit:
     return parse_circuit(CASCADE_TEXT)
 
 
+def _perm(g: Gate) -> TruthVector:
+    return Circuit(g.n, (g,)).perm()
+
+
+def _apply(g: Gate, tv: TruthVector) -> TruthVector:
+    return Circuit(g.n, (g,)).apply(tv)
+
+
 def test_gate_validation():
     bad = [
         lambda: Gate(3, 3),  # target out of range
@@ -61,24 +69,24 @@ def test_gate_validation():
 
 
 def test_not_gate_single_line():
-    assert tuple(not_gate(1, 0).perm()) == (1, 0)
+    assert tuple(_perm(not_gate(1, 0))) == (1, 0)
 
 
 def test_not_gate_most_significant_line():
-    assert tuple(not_gate(2, 1).perm()) == (2, 3, 0, 1)
+    assert tuple(_perm(not_gate(2, 1))) == (2, 3, 0, 1)
 
 
 def test_cnot_placements():
     # control on line 1 (b) targeting line 0 (a) swaps values 2 and 3;
     # control on line 0 targeting line 1 swaps values 1 and 3.
-    assert tuple(cnot(2, 1, 0).perm()) == (0, 1, 3, 2)
-    assert tuple(cnot(2, 0, 1).perm()) == (0, 3, 2, 1)
+    assert tuple(_perm(cnot(2, 1, 0))) == (0, 1, 3, 2)
+    assert tuple(_perm(cnot(2, 0, 1))) == (0, 3, 2, 1)
 
 
 def test_full_control_step_gate():
     g = toffoli(3, {0, 2}, 1)  # controls a, c positive; target b
     before = TruthVector([7, 4, 1, 0, 3, 2, 6, 5])
-    assert tuple(g.apply(before)) == (5, 4, 1, 0, 3, 2, 6, 7)
+    assert tuple(_apply(g, before)) == (5, 4, 1, 0, 3, 2, 6, 7)
 
 
 def test_gate_perm_matches_identity_application():
@@ -90,18 +98,19 @@ def test_gate_perm_matches_identity_application():
         controls = frozenset(rng.sample(others, rng.randint(0, len(others))))
         negated = frozenset(c for c in controls if rng.random() < 0.5)
         g = toffoli(n, controls, target, negated)
-        assert g.perm() == g.apply(TruthVector.identity(n))
+        rule = [v ^ (1 << target) if _fires(controls, negated, v) else v for v in range(1 << n)]
+        assert list(_perm(g)) == rule
 
 
 def test_apply_gate_equals_left_composition():
     g = toffoli(3, {0}, 2, {0})
     tv = TruthVector([5, 2, 7, 4, 1, 6, 3, 0])
-    assert g.apply(tv) == g.perm() * tv
+    assert _apply(g, tv) == _perm(g) * tv
 
 
 def test_apply_gate_line_mismatch():
     with pytest.raises(ValueError):
-        not_gate(2, 0).apply(TruthVector.identity(3))
+        Circuit(2, (not_gate(2, 0),)).apply(TruthVector.identity(3))
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 12), (4, 32), (5, 80), (6, 192)])
@@ -122,7 +131,7 @@ def test_generator_set_is_fixed_by_label_and_n():
         gen = GeneratorSet(label, 3)
         assert gen == enumerate_set(3) and hash(gen) == hash(enumerate_set(3))
         assert gen.members == enumerate_set(3).members
-        assert [g.spec() for g in gen.gates()] == GENERATOR_SPECS_3[label]
+        assert [g.spec() for g in gen.members] == GENERATOR_SPECS_3[label]
 
 
 # Canonical member order of the n = 3 generating sets, as specs.
@@ -134,22 +143,32 @@ GENERATOR_SPECS_3 = {
 }
 
 
+def test_generator_sets_are_their_gates():
+    # 5,120 members each; no member permutation is built, so both take well under a second.
+    start = time.perf_counter()
+    sets = GeneratorSet("I", 10), GeneratorSet("H", 10)
+    elapsed = time.perf_counter() - start
+    for gen in sets:
+        assert len(gen.members) == 5120 and all(type(g) is Gate for g in gen.members)
+    assert elapsed < 0.5, f"building both n = 10 generator sets took {elapsed:.2f} s"
+
+
 def test_ci_two_lines_is_two_nots_and_two_cnots():
-    gates = enumerate_ci(2).gates()
+    gates = enumerate_ci(2).members
     sizes = sorted(g.size for g in gates)
     assert sizes == [1, 1, 2, 2]
     assert all(g.is_g_toffoli() for g in gates)
 
 
 def test_ch_one_line_is_single_not():
-    gates = enumerate_ch(1).gates()
+    gates = enumerate_ch(1).members
     assert len(gates) == 1 and gates[0].size == 1
 
 
 @pytest.mark.parametrize("label,n", [("I", 2), ("I", 3), ("H", 2), ("H", 3), ("H", 4)])
 def test_generator_perms_distinct_involutions(label, n):
     gen = enumerate_ci(n) if label == "I" else enumerate_ch(n)
-    perms = gen.perms()
+    perms = [_perm(g) for g in gen.members]
     assert len(set(perms)) == len(perms)
     ident = TruthVector.identity(n)
     for p in perms:
@@ -157,8 +176,8 @@ def test_generator_perms_distinct_involutions(label, n):
 
 
 def test_every_ch_member_swaps_one_value_pair():
-    for g, p in enumerate_ch(3).members:
-        moved = [i for i, v in enumerate(p) if v != i]
+    for g in enumerate_ch(3).members:
+        moved = [i for i, v in enumerate(_perm(g)) if v != i]
         assert len(moved) == 2
         a, b = moved
         assert a ^ b == 1 << g.target
@@ -166,35 +185,35 @@ def test_every_ch_member_swaps_one_value_pair():
 
 def test_ch_member_changes_exactly_two_bits_exhaustive_n2():
     ident = TruthVector.identity(2)
-    for g, _ in enumerate_ch(2).members:
+    for g in enumerate_ch(2).members:
         for entries in itertools.permutations(range(4)):
             tv = TruthVector(entries)
-            assert tv.hamming(g.apply(tv)) == 2
+            assert tv.hamming(_apply(g, tv)) == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_ch_member_changes_exactly_two_bits_random(n):
     rng = random.Random(100 + n)
-    gates = enumerate_ch(n).gates()
+    gates = enumerate_ch(n).members
     for _ in range(40):
         tv = TruthVector(rng.sample(range(1 << n), 1 << n))
         g = rng.choice(gates)
-        assert tv.hamming(g.apply(tv)) == 2
+        assert tv.hamming(_apply(g, tv)) == 2
 
 
 def test_ch_members_are_odd_permutations():
-    for _, p in enumerate_ch(3).members:
-        assert permutation_parity(tuple(p)) == 1
+    for g in enumerate_ch(3).members:
+        assert permutation_parity(tuple(_perm(g))) == 1
 
 
 def test_composition_parity_counts_gates():
     rng = random.Random(22)
-    gates = enumerate_ch(3).gates()
+    gates = enumerate_ch(3).members
     for _ in range(20):
         k = rng.randint(0, 9)
         tv = TruthVector.identity(3)
         for g in rng.choices(gates, k=k):
-            tv = g.apply(tv)
+            tv = _apply(g, tv)
         assert permutation_parity(tuple(tv)) == k % 2
 
 
@@ -268,10 +287,10 @@ def test_parse_rejections(bad, message):
 def test_apply_gate_preserves_bijection_exhaustive_small():
     # TruthVector construction re-validates bijectivity on every application
     for n in (1, 2, 3):
-        gen = list(enumerate_ci(n).gates()) + list(enumerate_ch(n).gates())
+        gen = enumerate_ci(n).members + enumerate_ch(n).members
         tv = TruthVector.reverse(n)
         for g in gen:
-            g.apply(tv)
+            _apply(g, tv)
 
 
 def test_mc_gate_helper():
@@ -308,30 +327,19 @@ def test_fold_kernels_agree(case):
     n, lines, start = case
     gates = [toffoli(n, controls, target, negated) for target, controls, negated in lines]
     values = TruthVector(start)
-    by_list = fold(values, gates)
+    by_list = list(Circuit(n, gates).apply(values))
     assert list(values) == start and values.where == TruthVector(start).where  # not mutated
     by_words = fold_words(np.array(start, dtype=np.uint32), gates)
     assert by_words.dtype == np.uint32
     assert by_words.tolist() == by_list
     tv = TruthVector(start)
     for g in gates:
-        tv = g.apply(tv)
+        tv = _apply(g, tv)
     assert list(tv) == by_list
     reference = list(start)
     for target, controls, negated in lines:
         reference = [v ^ (1 << target) if _fires(controls, negated, v) else v for v in reference]
     assert reference == by_list
-
-
-@pytest.mark.parametrize(
-    "values, message",
-    [([0, 0], "value 0 occurs twice"), ([2, 0], "value 2 out of range"), ([1], "power of two")],
-    ids=["repeated", "out-of-range", "not-range-1"],
-)
-def test_fold_rejects_a_non_permutation(values, message):
-    # fold takes a TruthVector, so a non-permutation is refused by its constructor.
-    with pytest.raises(ValueError, match=message):
-        fold(TruthVector(values), [not_gate(1, 0)])
 
 
 @settings(max_examples=200, deadline=None)

@@ -49,7 +49,7 @@ def test_worked_example_intermediates():
     cur = f
     states = []
     for g in hc_synthesize(f, "right").gates:
-        cur = g.apply(cur)
+        cur = Circuit(cur.n, (g,)).apply(cur)
         states.append(list(cur.entries))
     assert states == WORKED_TRACE
 
@@ -105,7 +105,7 @@ def test_every_gate_is_a_two_bit_move_toward_home():
         f = TruthVector(rng.sample(range(16), 16))
         cur = f
         for g in hc_synthesize(f, "right").gates:
-            nxt = g.apply(cur)
+            nxt = Circuit(cur.n, (g,)).apply(cur)
             assert cur.hamming(nxt) == 2
             assert nxt.hamming(ident) <= cur.hamming(ident)  # never a -2-move
             cur = nxt

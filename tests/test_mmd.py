@@ -24,7 +24,7 @@ def replay(f: TruthVector, circuit: Circuit) -> list[list[int]]:
     states = []
     cur = f
     for g in circuit.gates:
-        cur = g.apply(cur)
+        cur = Circuit(cur.n, (g,)).apply(cur)
         states.append(list(cur.entries))
     return states
 
