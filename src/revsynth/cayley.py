@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gates import GeneratorSet, fold_words
+from .gates import Circuit, GeneratorSet
 from .perm import TruthVector, rank_entries, unrank_entries
 
 BFS_MAX_LINES = 3
@@ -140,8 +140,7 @@ def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
     n = gen_set.n
     size = 1 << n
     total = math.factorial(size)
-    identity = np.arange(size, dtype=np.uint32)
-    gens = np.array([fold_words(identity, (g,)) for g in gen_set.members], dtype=np.uint8)
+    gens = np.array([Circuit(n, (g,)).perm().entries for g in gen_set.members], dtype=np.uint8)
     g = len(gens)
 
     dist = np.full(total, _UNSEEN, dtype=np.uint8)

@@ -19,9 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gates import LINE_NAMES, Circuit, Gate, fold_words
+from .gates import LINE_NAMES, Circuit, Gate, fold_planes, input_planes
 
 VERIFY_MAX_LINES = 22
 
@@ -207,9 +205,10 @@ def verify_circuit_equivalence(spec: Circuit, impl: AncillaCircuit) -> Verificat
     """Exhaustively check that ``impl`` realizes ``spec`` and restores ancilla.
 
     Simulates every input word over the principal + ancilla lines (ancilla
-    pinned to 0 in zeroed mode), comparing the principal output with the
-    reference circuit's action and requiring the ancilla bits back in their
-    initial state.  Returns the first failing input word on disagreement.
+    pinned to 0 in zeroed mode) as bit planes, comparing the principal output
+    with the reference circuit's action and requiring the ancilla bits back in
+    their initial state.  Returns the lowest failing input word on
+    disagreement.
     """
     if spec.n != impl.principal_lines:
         raise ValueError(
@@ -218,19 +217,20 @@ def verify_circuit_equivalence(spec: Circuit, impl: AncillaCircuit) -> Verificat
     total = impl.total_lines
     if total > VERIFY_MAX_LINES:
         raise ValueError(f"{total} lines exceeds the {VERIFY_MAX_LINES}-line verification budget")
-    if impl.ancilla_mode is AncillaMode.ZEROED_RESTORED:
-        words = np.arange(1 << spec.n, dtype=np.uint32)
-    else:
-        words = np.arange(1 << total, dtype=np.uint32)
-    state = fold_words(words, impl.gates.gates)
-
-    pmask = np.uint32((1 << spec.n) - 1)
-    expected = fold_words(words & pmask, spec.gates)
-    ok = ((state & pmask) == expected) & ((state >> spec.n) == (words >> spec.n))
-    if bool(ok.all()):
-        return VerificationResult(True, len(words))
-    bad = int(np.argmin(ok))
-    return VerificationResult(False, len(words), int(words[bad]))
+    bits = spec.n if impl.ancilla_mode is AncillaMode.ZEROED_RESTORED else total
+    inputs = input_planes(bits) + [0] * (total - bits)
+    words = 1 << bits
+    full = (1 << words) - 1
+    state = list(inputs)
+    fold_planes(state, full, impl.gates.gates)
+    expected = inputs[:spec.n]
+    fold_planes(expected, full, spec.gates)
+    diff = 0
+    for got, want in zip(state, expected + inputs[spec.n:]):
+        diff |= got ^ want
+    if not diff:
+        return VerificationResult(True, words)
+    return VerificationResult(False, words, (diff & -diff).bit_length() - 1)
 
 
 _STRATEGIES = {

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import fold_words, toffoli
+from .gates import Circuit, toffoli
 
 MAX_UNITARY_LINES = 4
 
@@ -49,9 +49,8 @@ class QuantumGate:
     def unitary(self, lines: int) -> np.ndarray:
         """Dense 2^lines x 2^lines matrix of this gate."""
         pattern = toffoli(lines, self.controls, self.target, self.negated)  # validates the lines
-        cols = np.arange(1 << lines, dtype=np.uint32)
-        partners = fold_words(cols, (pattern,))
-        fire = np.flatnonzero(partners != cols)  # the columns the gate acts on
+        partners = np.array(Circuit(lines, (pattern,)).perm().entries)
+        fire = np.flatnonzero(partners != np.arange(1 << lines))  # the columns the gate acts on
         b = fire >> self.target & 1
         m = np.eye(1 << lines, dtype=complex)
         m[fire, fire] = self.matrix[b, b]

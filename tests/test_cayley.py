@@ -14,15 +14,20 @@ from revsynth.cayley import (
     load_dump,
     permutation_parity,
 )
-from revsynth.gates import Circuit, GeneratorSet, enumerate_ch, enumerate_ci
+from revsynth.gates import GeneratorSet, enumerate_ch, enumerate_ci
 from revsynth.hypercube import hc_synthesize
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector, rank_entries
 
 
 def _perms(gen_set: GeneratorSet) -> list[TruthVector]:
-    """The members' permutations through the list kernel, not the BFS's fold_words table."""
-    return [Circuit(g.n, (g,)).perm() for g in gen_set.members]
+    """The members' permutations from the firing rule itself, not from the
+    gate-action kernel the BFS builds its generator table with."""
+    return [
+        TruthVector([v ^ (1 << g.target) if v & g.control_mask == g.value_mask else v
+                     for v in range(1 << g.n)])
+        for g in gen_set.members
+    ]
 
 
 # Exhaustively computed once with this module's BFS and frozen as a

@@ -1,14 +1,19 @@
 """Ancilla-based gate expansions, all checked by exhaustive simulation."""
 
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from revsynth.cost import GarbagePolicy, circuit_cost
 from revsynth.decompose import (
+    DECOMPOSE_STRATEGIES,
     AncillaCircuit,
     AncillaMode,
+    VerificationResult,
     expand_circuit,
     expand_one_garbage,
     ladder_borrowed,
@@ -17,7 +22,30 @@ from revsynth.decompose import (
     verify_circuit_equivalence,
     verify_equivalence,
 )
-from revsynth.gates import Circuit, Gate, fold_words, mc_gate, parse_circuit, toffoli
+from revsynth.gates import Circuit, Gate, mc_gate, parse_circuit, toffoli
+
+
+def numpy_fold(words: np.ndarray, gates) -> np.ndarray:
+    """The gate rule over a uint32 word array: four numpy passes per gate,
+    independent of the bit-plane kernel the verifier uses."""
+    zero = np.uint32(0)
+    for g in gates:
+        cm, vm = np.uint32(g.control_mask), np.uint32(g.value_mask)
+        words = words ^ np.where((words & cm) == vm, np.uint32(1 << g.target), zero)
+    return words
+
+
+def numpy_verify(spec: Circuit, impl: AncillaCircuit) -> VerificationResult:
+    """verify_circuit_equivalence restated over numpy words, first failure by argmin."""
+    bits = spec.n if impl.ancilla_mode is AncillaMode.ZEROED_RESTORED else impl.total_lines
+    words = np.arange(1 << bits, dtype=np.uint32)
+    state = numpy_fold(words, impl.gates.gates)
+    pmask = np.uint32((1 << spec.n) - 1)
+    expected = numpy_fold(words & pmask, spec.gates)
+    ok = ((state & pmask) == expected) & ((state >> spec.n) == (words >> spec.n))
+    if bool(ok.all()):
+        return VerificationResult(True, len(words))
+    return VerificationResult(False, len(words), int(words[int(np.argmin(ok))]))
 
 
 def random_full_gate(n: int, rng: random.Random) -> Gate:
@@ -146,9 +174,9 @@ def test_expansions_leave_non_matching_inputs_alone():
     g = toffoli(5, range(4), 4, {1})
     ladder = ladder_zeroed(g)
     words = np.arange(1 << 5, dtype=np.uint32)
-    idle = words[fold_words(words, (g,)) == words]
+    idle = words[numpy_fold(words, (g,)) == words]
     assert len(idle) == 30
-    assert fold_words(idle, ladder.gates.gates).tolist() == idle.tolist()
+    assert numpy_fold(idle, ladder.gates.gates).tolist() == idle.tolist()
 
 
 def test_mutated_network_fails_with_counterexample():
@@ -165,9 +193,9 @@ def test_mutated_network_fails_with_counterexample():
     assert outcome.counterexample is not None
     # replay the counterexample: the broken network must truly disagree
     word = outcome.counterexample
-    out = int(fold_words(np.array([word], dtype=np.uint32), broken.gates.gates)[0])
+    out = int(numpy_fold(np.array([word], dtype=np.uint32), broken.gates.gates)[0])
     principal = (1 << 6) - 1
-    expected = int(fold_words(np.array([word & principal], dtype=np.uint32), (g,))[0])
+    expected = int(numpy_fold(np.array([word & principal], dtype=np.uint32), (g,))[0])
     assert (out & principal) != expected or (out >> 6 != word >> 6)
 
 
@@ -220,6 +248,85 @@ def test_ancilla_circuit_validation():
         AncillaCircuit(3, 1, AncillaMode.ZEROED_RESTORED, Circuit(3))
     with pytest.raises(ValueError, match="negative"):
         AncillaCircuit(3, -1, AncillaMode.ZEROED_RESTORED, Circuit(2))
+
+
+@st.composite
+def cascades_and_expansions(draw):
+    """A mixed-polarity cascade, its expansion under one strategy, and that
+    expansion intact, with one gate dropped, or with one control flipped."""
+    n = draw(st.integers(4, 7))
+    gates = []
+    for _ in range(draw(st.integers(1, 4))):
+        target = draw(st.integers(0, n - 1))
+        others = [l for l in range(n) if l != target]
+        controls = draw(st.sets(st.sampled_from(others), min_size=3))
+        negated = draw(st.sets(st.sampled_from(sorted(controls))))
+        gates.append(toffoli(n, controls, target, negated))
+    spec = Circuit(n, gates)
+    impl = expand_circuit(spec, draw(st.sampled_from(DECOMPOSE_STRATEGIES)))
+    out = list(impl.gates.gates)
+    mutation = draw(st.sampled_from(("none", "drop", "flip")))
+    i = draw(st.integers(0, len(out) - 1))
+    if mutation == "drop":
+        del out[i]
+    elif mutation == "flip":
+        assume(out[i].control_mask)
+        c = draw(st.sampled_from(sorted(out[i].controls)))
+        g = out[i]
+        out[i] = Gate(g.n, g.target, g.control_mask, g.value_mask ^ 1 << c)
+    return spec, AncillaCircuit(
+        impl.principal_lines, impl.ancilla_lines, impl.ancilla_mode, Circuit(impl.total_lines, out)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cascades_and_expansions())
+def test_plane_verifier_matches_numpy_reference(case):
+    spec, impl = case
+    assert verify_circuit_equivalence(spec, impl) == numpy_verify(spec, impl)
+
+
+@pytest.mark.parametrize("n,first", [(1, 0), (2, 0), (3, 0b010)])
+def test_verify_fewer_than_eight_words(n, first):
+    """1-3 lines: the planes hold 2, 4 or 8 words, less than a byte."""
+    spec = Circuit(n, (toffoli(n, range(n - 1), n - 1, {0} if n > 1 else ()),))
+    right = AncillaCircuit(n, 0, AncillaMode.BORROWED_RESTORED, spec)
+    assert verify_circuit_equivalence(spec, right) == VerificationResult(True, 1 << n)
+    empty = AncillaCircuit(n, 0, AncillaMode.BORROWED_RESTORED, Circuit(n))
+    outcome = verify_circuit_equivalence(spec, empty)
+    assert outcome == numpy_verify(spec, empty)
+    assert outcome == VerificationResult(False, 1 << n, first)  # the first word the gate fires on
+
+
+def test_zeroed_mode_checks_ancilla_planes_against_zero():
+    g = toffoli(5, range(4), 4, {1})  # fires on a=1, b=0, c=1, d=1
+    ladder = ladder_zeroed(g)  # two zeroed helpers, lines 5 and 6
+    assert verify_equivalence(g, ladder) == VerificationResult(True, 1 << 5)
+
+    def zeroed(gates) -> AncillaCircuit:
+        return AncillaCircuit(5, 2, AncillaMode.ZEROED_RESTORED, Circuit(7, gates))
+
+    assert verify_equivalence(g, zeroed(())) == VerificationResult(False, 1 << 5, 0b01101)
+    assert verify_circuit_equivalence(Circuit(5), zeroed((Gate(7, 6),))) == VerificationResult(
+        False, 1 << 5, 0
+    )
+    unrestored = zeroed(ladder.gates.gates[:2])  # the chain up, never undone
+    outcome = verify_equivalence(g, unrestored)
+    assert outcome == numpy_verify(Circuit(5, (g,)), unrestored)
+    assert outcome.counterexample == 0b00001  # the first word that sets helper 5
+
+
+def test_wide_borrowed_verify_is_fast():
+    """2^21 input words: the numpy fold took about 0.23 s, the planes about 0.02 s."""
+    g = toffoli(12, range(11), 11, {1, 3})
+    network = ladder_borrowed(g)
+    timings = []
+    for _ in range(3):
+        started = time.perf_counter()
+        outcome = verify_equivalence(g, network)
+        timings.append(time.perf_counter() - started)
+    assert outcome == VerificationResult(True, 1 << 21)
+    assert min(timings) < 0.1, timings
 
 
 def test_expand_circuit_zeroed_round_trip():

@@ -2,7 +2,6 @@ import itertools
 import random
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,8 @@ from revsynth.gates import (
     cnot,
     enumerate_ch,
     enumerate_ci,
-    fold_words,
+    fold_planes,
+    input_planes,
     mc_gate,
     not_gate,
     parse_circuit,
@@ -321,6 +321,21 @@ def _fires(controls, negated, v: int) -> bool:
     return all((v >> c & 1) == (c not in negated) for c in controls)
 
 
+def _to_planes(words, n: int) -> list[int]:
+    return [sum(1 << x for x, w in enumerate(words) if w >> c & 1) for c in range(n)]
+
+
+def _from_planes(planes: list[int], count: int) -> list[int]:
+    return [sum((p >> x & 1) << c for c, p in enumerate(planes)) for x in range(count)]
+
+
+@pytest.mark.parametrize("bits", range(1, 11))
+def test_input_planes_are_the_bits_of_every_word(bits):
+    planes = input_planes(bits)
+    assert planes == _to_planes(range(1 << bits), bits)
+    assert _from_planes(planes, 1 << bits) == list(range(1 << bits))
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixed_polarity_cascades())
 def test_fold_kernels_agree(case):
@@ -329,9 +344,10 @@ def test_fold_kernels_agree(case):
     values = TruthVector(start)
     by_list = list(Circuit(n, gates).apply(values))
     assert list(values) == start and values.where == TruthVector(start).where  # not mutated
-    by_words = fold_words(np.array(start, dtype=np.uint32), gates)
-    assert by_words.dtype == np.uint32
-    assert by_words.tolist() == by_list
+    planes, full = _to_planes(start, n), (1 << len(start)) - 1
+    fold_planes(planes, full, gates)
+    assert all(0 <= p <= full for p in planes)  # no bits outside the word set
+    assert _from_planes(planes, len(start)) == by_list
     tv = TruthVector(start)
     for g in gates:
         tv = _apply(g, tv)

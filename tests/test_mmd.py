@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revsynth.gates import Circuit, not_gate, toffoli
 from revsynth.mmd import mmd_synthesize
@@ -108,6 +110,15 @@ def test_random_correctness_and_bound(n):
         assert len(circuit) <= bound
         assert circuit.apply(f).is_identity()
         assert all(g.is_g_toffoli() for g in circuit.gates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1 << n))))
+def test_mmd_reverifies_within_gate_bound(entries):
+    f = TruthVector(entries)
+    circuit = mmd_synthesize(f)
+    assert circuit.apply(f).is_identity()
+    assert len(circuit) <= (f.n - 1) * (1 << f.n) + 1
 
 
 def test_exhaustive_s8_sample_slice():
