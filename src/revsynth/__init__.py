@@ -38,12 +38,6 @@ from .decompose import (
     verify_circuit_equivalence,
     verify_equivalence,
 )
-from .elementary import (
-    QuantumGate,
-    build_unitary,
-    verify_elementary,
-    x_root,
-)
 from .gates import (
     Circuit,
     Gate,
@@ -100,3 +94,12 @@ __all__ = [
     "worst_case_qc",
     "x_root",
 ]
+
+
+def __getattr__(name: str):
+    """The numpy-backed elementary checks load on first use (PEP 562)."""
+    if name in ("QuantumGate", "build_unitary", "verify_elementary", "x_root"):
+        from . import elementary
+
+        return getattr(elementary, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

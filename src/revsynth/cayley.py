@@ -30,12 +30,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .gates import Circuit, GeneratorSet
 from .perm import TruthVector, rank_entries, unrank_entries
+
+if TYPE_CHECKING:  # numpy is imported on first use, by the functions that need it
+    import numpy as np
 
 BFS_MAX_LINES = 3
 
@@ -118,6 +119,7 @@ _CHUNK = 2048
 def _lehmer_digits(rows: np.ndarray):
     """Yield, for each position i < k - 1 of the uint8 rows, how many later
     entries of each row are smaller than entry i (the row's Lehmer digit)."""
+    import numpy as np
     k = rows.shape[1]
     left = np.full(len(rows), (1 << k) - 1, dtype=np.int32)  # values not yet placed
     for i in range(k - 1):
@@ -128,6 +130,7 @@ def _lehmer_digits(rows: np.ndarray):
 
 def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
     """Lexicographic rank of each permutation row, as int32 (k <= 8 here)."""
+    import numpy as np
     k = rows.shape[1]
     ranks = np.zeros(len(rows), dtype=np.int32)
     for i, digit in enumerate(_lehmer_digits(rows)):
@@ -137,6 +140,7 @@ def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
 
 
 def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
+    import numpy as np
     n = gen_set.n
     size = 1 << n
     total = math.factorial(size)
@@ -260,6 +264,7 @@ class HammingAuditReport:
 
 def hamming_distance_audit(n: int = 3) -> HammingAuditReport:
     """Verify the Hamming-distance sandwich on the full-control graph."""
+    import numpy as np
     check_bfs_lines(n)
     result = bfs(GeneratorSet("H", n))
     size = 1 << n

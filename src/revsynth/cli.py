@@ -9,6 +9,7 @@ is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -22,7 +23,6 @@ from .decompose import (
     expand_circuit,
     verify_circuit_equivalence,
 )
-from .elementary import verify_elementary
 from .gates import Circuit, GeneratorSet, parse_circuit
 from .hypercube import hc_bidirectional, hc_synthesize
 from .mmd import mmd_synthesize
@@ -46,14 +46,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_vector(path: str) -> TruthVector:
-    return TruthVector.from_text(_read_text(path))
-
-
-def _load_circuit(path: str) -> Circuit:
-    return parse_circuit(_read_text(path))
-
-
 def _synthesize(algo: str, f: TruthVector) -> Circuit:
     if algo == "mmd":
         return mmd_synthesize(f)
@@ -67,7 +59,7 @@ def _synthesize(algo: str, f: TruthVector) -> Circuit:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    f = _load_vector(args.input)
+    f = TruthVector.from_text(_read_text(args.input))
     circuit = _synthesize(args.algo, f)
     if not circuit.apply(f).is_identity():
         raise RuntimeError("cascade does not map the input to identity")
@@ -78,17 +70,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
-    if args.input is None:
-        tv = TruthVector.identity(circuit.n)
-    else:
-        tv = _load_vector(args.input)
+    circuit = parse_circuit(_read_text(args.circuit))
+    tv = (TruthVector.identity(circuit.n) if args.input is None
+          else TruthVector.from_text(_read_text(args.input)))
     print(circuit.apply(tv))
     return 0
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
+    circuit = parse_circuit(_read_text(args.circuit))
     policy = GarbagePolicy.from_flag(args.garbage)
     report = cost_report(circuit, policy)
     if args.format == "json":
@@ -164,7 +154,7 @@ def cmd_bfs(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
+    circuit = parse_circuit(_read_text(args.circuit))
     expansion = expand_circuit(circuit, args.strategy)
     text = expansion.gates.to_text()
     if args.verify:
@@ -180,6 +170,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_elementary(args: argparse.Namespace) -> int:
+    from .elementary import verify_elementary  # numpy: imported only here
+
     report = verify_elementary()
     for check in report.checks:
         status = "PASS" if check.ok else "FAIL"
@@ -187,6 +179,7 @@ def cmd_verify_elementary(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache  # built on the first call, reused: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revsynth",
@@ -266,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

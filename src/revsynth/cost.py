@@ -152,19 +152,15 @@ class CostReport:
             f"garbage policy: {self.policy.value}",
             f"{'gate':>4}  {'size':>4}  {'neg':>3}  {'cost':>4}",
         ]
-        for idx, (s, m, c) in enumerate(self.rows, start=1):
-            lines.append(f"{idx:>4}  {s:>4}  {m:>3}  {c:>4}")
+        lines.extend(f"{i:>4}  {s:>4}  {m:>3}  {c:>4}" for i, (s, m, c) in enumerate(self.rows, 1))
         lines.append(f"gate count: {self.gate_count} (bound {self.gate_bound})")
         lines.append(f"quantum cost: {self.quantum_cost} (bound {self.qc_bound})")
-        for note in self.notes:
-            lines.append(f"note: {note}")
+        lines.extend(f"note: {note}" for note in self.notes)
         return "\n".join(lines) + "\n"
 
 
 def cost_report(c: Circuit, policy: GarbagePolicy) -> CostReport:
     rows = tuple((g.size, g.num_negative, gate_cost(g, policy)) for g in c.gates)
-    gc = len(rows)
-    qc = sum(cost for _, _, cost in rows)
     notes = [
         f"quantum-cost bound prices {synthesis_gate_bound(c.n)} gates at the "
         f"costliest size-{c.n} cost {max_gate_cost(c.n, policy)}"
@@ -178,8 +174,8 @@ def cost_report(c: Circuit, policy: GarbagePolicy) -> CostReport:
         n=c.n,
         policy=policy,
         rows=rows,
-        gate_count=gc,
-        quantum_cost=qc,
+        gate_count=len(rows),
+        quantum_cost=sum(cost for _, _, cost in rows),
         gate_bound=synthesis_gate_bound(c.n),
         qc_bound=synthesis_gate_bound(c.n) * max_gate_cost(c.n, policy),
         notes=tuple(notes),

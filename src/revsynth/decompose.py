@@ -178,12 +178,7 @@ def expand_one_garbage(g: Gate) -> AncillaCircuit:
                 f"only {len(pool)} free"
             )
         sequence.extend(_borrowed_network(sub, total, pool[:need]))
-    return AncillaCircuit(
-        g.n,
-        total - g.n,
-        AncillaMode.BORROWED_RESTORED,
-        Circuit(total, sequence),
-    )
+    return AncillaCircuit(g.n, total - g.n, AncillaMode.BORROWED_RESTORED, Circuit(total, sequence))
 
 
 @dataclass(frozen=True)

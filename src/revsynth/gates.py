@@ -20,6 +20,7 @@ Both families have n * 2^(n-1) members and every member is an involution.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -30,8 +31,7 @@ LINE_NAMES = "abcdefghijklmnopqrstuvwx"
 ENUMERATE_MAX_LINES = 10
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(namedtuple("Gate", "n target control_mask value_mask", defaults=(0, 0))):
     """One reversible gate: n lines, a target line and two control masks.
 
     The gate flips its target bit in every value v with
@@ -40,27 +40,38 @@ class Gate:
     a clear bit that it fires on 0 (a negative control).  Both masks 0 is a
     NOT gate.  ``controls``, ``negated``, ``size`` and ``num_negative`` are
     views of the masks; :func:`toffoli` builds a gate from line sets.
+
+    A gate is an immutable tuple of its four fields that equals only other
+    gates.  The inherited ``__new__`` builds it and ``__init__`` checks it.
     """
 
-    n: int
-    target: int
-    control_mask: int = 0
-    value_mask: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, cm = self.n, self.control_mask
+    def __init__(self, n: int, target: int, control_mask: int = 0, value_mask: int = 0):
         if not 1 <= n <= len(LINE_NAMES):
             raise ValueError(f"line count {n} out of range [1, {len(LINE_NAMES)}]")
-        if not 0 <= self.target < n:
-            raise ValueError(f"target {self.target} out of range [0, {n})")
-        if not 0 <= cm < 1 << n:
-            raise ValueError(f"control mask {cm:#x} has lines outside [0, {n})")
-        if cm >> self.target & 1:
-            raise ValueError(f"target line {self.target} cannot also be a control")
-        if self.value_mask & ~cm:
+        if not 0 <= target < n:
+            raise ValueError(f"target {target} out of range [0, {n})")
+        if not 0 <= control_mask < 1 << n:
+            raise ValueError(f"control mask {control_mask:#x} has lines outside [0, {n})")
+        if control_mask >> target & 1:
+            raise ValueError(f"target line {target} cannot also be a control")
+        if value_mask & ~control_mask:
             raise ValueError(
-                f"value mask {self.value_mask:#x} is not within control mask {cm:#x}"
+                f"value mask {value_mask:#x} is not within control mask {control_mask:#x}"
             )
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":  # so ``_replace`` runs the checks too
+        return cls(*iterable)
+
+    def __eq__(self, other):  # False, not NotImplemented: tuple.__eq__ would answer
+        return isinstance(other, Gate) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
     # -- derived views -------------------------------------------------------
 

@@ -140,12 +140,10 @@ class TruthVector:
         Lines starting with ``#`` are comments; the remaining whitespace or
         newline separated tokens must be the 2^n decimal entries.
         """
-        tokens: list[str] = []
-        for line in text.splitlines():
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                continue
-            tokens.extend(stripped.split())
+        tokens = [
+            tok for line in text.splitlines() if not line.lstrip().startswith("#")
+            for tok in line.split()
+        ]
         if not tokens:
             raise ValueError("no truth-vector entries found")
         values = []

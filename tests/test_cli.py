@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +234,54 @@ def test_console_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == ".n 3"
     assert len(proc.stdout.strip().splitlines()) == 5  # header + 4 gates
+
+
+# Runs each argv of the JSON list argv[2] through cli.main in this one
+# interpreter and prints [exit code, stdout, stderr] per call as JSON.
+CALL_RUNNER = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from revsynth import cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    results.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_calls(calls: list[list[str]]) -> list[list]:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", CALL_RUNNER, src, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, example_vector):
+    bad = tmp_path / "bad.tv"
+    bad.write_text("1 1 2 3\n")
+    circ = tmp_path / "c.tfc"
+    circ.write_text(".n 3\nt3 a,b',c\nt1 a\n")
+    calls = [
+        ["synth", "--algo", "hc-bi", "--in", str(example_vector), "--direction", "from-identity"],
+        ["synth", "--algo", "nonsense"],
+        ["synth", "--algo", "mmd", "--in", str(bad)],
+        ["cost", "--circuit", str(circ), "--format", "json"],
+        ["bfs", "--set", "I", "--n", "2"],
+        ["synth", "--algo", "hc-bi", "--in", str(example_vector)],
+    ]
+    in_sequence = _run_calls(calls)
+    assert [rc for rc, _, _ in in_sequence] == [0, 2, 1, 0, 0, 0]
+    assert in_sequence[0][1] != in_sequence[5][1]  # the --direction default came back
+    for argv, seen in zip(calls, in_sequence):
+        assert seen == _run_calls([argv])[0], argv

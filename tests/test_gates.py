@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 
@@ -66,6 +67,61 @@ def test_gate_validation():
     for make in bad:
         with pytest.raises(ValueError):
             make()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 0), "line count 0 out of range [1, 24]"),
+        ((3, 3), "target 3 out of range [0, 3)"),
+        ((3, 0, 0b1000), "control mask 0x8 has lines outside [0, 3)"),
+        ((3, 1, 0b010), "target line 1 cannot also be a control"),
+        ((3, 0, 0b010, 0b100), "value mask 0x4 is not within control mask 0x2"),
+    ],
+)
+def test_gate_mask_checks_keep_their_messages(args, message):
+    fields = dict(zip(Gate._fields, args))
+    makers = (
+        lambda: Gate(*args),
+        lambda: Gate(**fields),
+        lambda: Gate._make(args),
+        lambda: Gate(1, 0)._replace(**fields),
+    )
+    for make in makers:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+def test_gate_is_an_immutable_value():
+    g = Gate(3, 0)
+    for field in ("n", "target", "control_mask", "value_mask"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, 1)
+    with pytest.raises(AttributeError):
+        g.label = "x"  # no instance dict either
+    assert repr(g) == "Gate(n=3, target=0, control_mask=0, value_mask=0)"
+    assert repr(Gate(6, 5, 0b11111, 0b11001)) == (
+        "Gate(n=6, target=5, control_mask=31, value_mask=25)"
+    )
+    twin = Gate(n=3, target=0)
+    assert g == twin and not g != twin and hash(g) == hash(twin)
+    assert g != Gate(3, 1) and not g == Gate(3, 1)
+    assert len({g, twin, Gate(3, 1)}) == 2
+    for gate in (g, Gate(6, 5, 0b11111, 0b11001)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(gate, protocol))
+            assert type(back) is Gate and back == gate and hash(back) == hash(gate)
+
+
+def test_gate_equals_only_gates():
+    g = Gate(3, 0)
+    plain = (3, 0, 0, 0)
+    assert not g == plain and not plain == g
+    assert g != plain and plain != g
+    assert plain not in {g} and g not in {plain}
+    assert plain not in [g] and g not in [plain]
+    assert Circuit(3, (g,)).gates != (plain,)
 
 
 def test_not_gate_single_line():
