@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from .gates import Circuit, GeneratorSet
+from .gates import LABELS, Circuit, GeneratorSet
 from .perm import TruthVector, rank_entries, unrank_entries
 
 if TYPE_CHECKING:  # numpy is imported on first use, by the functions that need it
@@ -221,23 +221,6 @@ def distance(tv: TruthVector, gen_set: GeneratorSet) -> int:
     return bfs(gen_set).distance_of(tv)
 
 
-def permutation_parity(entries) -> int:
-    """0 for even permutations, 1 for odd (from the cycle decomposition)."""
-    seen = [False] * len(entries)
-    parity = 0
-    for start in range(len(entries)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = entries[cur]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
 @dataclass(frozen=True)
 class HammingAuditReport:
     """Outcome of sweeping d_H/2 <= d < d_H over every non-identity vertex.
@@ -304,7 +287,7 @@ def load_dump(data: bytes) -> tuple[str, int, bytes]:
     label = chr(data[9])
     if not 1 <= n <= BFS_MAX_LINES:
         raise ValueError(f"line count {n} in dump header out of range [1, {BFS_MAX_LINES}]")
-    if label not in ("I", "H"):
+    if label not in LABELS:
         raise ValueError(f"bad generator label {label!r} in dump header")
     if any(data[10:16]):
         raise ValueError("reserved dump header bytes are not zero")

@@ -17,18 +17,20 @@ from collections import Counter
 from . import __version__
 from .cayley import BFS_MAX_LINES, bfs, check_bfs_lines, hamming_distance_audit
 from .cost import GarbagePolicy, cost_report
-from .decompose import (
-    DECOMPOSE_STRATEGIES,
-    AncillaMode,
-    expand_circuit,
-    verify_circuit_equivalence,
-)
-from .gates import Circuit, GeneratorSet, parse_circuit
+from .decompose import DECOMPOSE_STRATEGIES, expand_circuit, verify_circuit_equivalence
+from .gates import LABELS, GeneratorSet, parse_circuit
 from .hypercube import hc_bidirectional, hc_synthesize
 from .mmd import mmd_synthesize
 from .perm import TruthVector, all_truth_vectors
 
-ALGORITHMS = ("mmd", "hc-right", "hc-left", "hc-bi")
+# Each entry looks its synthesizer up in this module at call time, so replacing
+# ``cli.mmd_synthesize`` (a tracer, a test) replaces what synth and enumerate run.
+SYNTHESIZERS = {
+    "mmd": lambda f: mmd_synthesize(f),
+    "hc-right": lambda f: hc_synthesize(f, "right"),
+    "hc-left": lambda f: hc_synthesize(f, "left"),
+    "hc-bi": lambda f: hc_bidirectional(f),
+}
 
 
 def _read_text(path: str) -> str:
@@ -46,21 +48,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _synthesize(algo: str, f: TruthVector) -> Circuit:
-    if algo == "mmd":
-        return mmd_synthesize(f)
-    if algo == "hc-right":
-        return hc_synthesize(f, "right")
-    if algo == "hc-left":
-        return hc_synthesize(f, "left")
-    if algo == "hc-bi":
-        return hc_bidirectional(f)
-    raise ValueError(f"unknown algorithm {algo!r}")
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     f = TruthVector.from_text(_read_text(args.input))
-    circuit = _synthesize(args.algo, f)
+    circuit = SYNTHESIZERS[args.algo](f)
     if not circuit.apply(f).is_identity():
         raise RuntimeError("cascade does not map the input to identity")
     if args.direction == "from-identity":
@@ -79,7 +69,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     circuit = parse_circuit(_read_text(args.circuit))
-    policy = GarbagePolicy.from_flag(args.garbage)
+    policy = GarbagePolicy(args.garbage)
     report = cost_report(circuit, policy)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -96,9 +86,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"enumeration visits (2^n)! permutations; n = {args.n} is beyond "
             f"desk scale (cap {BFS_MAX_LINES})"
         )
+    synthesize = SYNTHESIZERS[args.algo]
     histogram: Counter[int] = Counter()
     for tv in all_truth_vectors(args.n):
-        histogram[len(_synthesize(args.algo, tv))] += 1
+        histogram[len(synthesize(tv))] += 1
     total = sum(histogram.values())
     average = sum(k * v for k, v in histogram.items()) / total
     lines = ["gates,count"]
@@ -125,6 +116,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_bfs(args: argparse.Namespace) -> int:
     check_bfs_lines(args.n)  # first: n >= 11 gets this refusal, not GeneratorSet's range error
+    if args.audit and args.set != "H":
+        raise ValueError(f"--audit sweeps the full-control graph H; got --set {args.set}")
     result = bfs(GeneratorSet(args.set, args.n))
     hist = result.histogram
     if args.csv:
@@ -163,8 +156,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             raise RuntimeError(
                 f"expansion failed verification at input {outcome.counterexample}"
             )
-        mode = "zeroed" if expansion.ancilla_mode is AncillaMode.ZEROED_RESTORED else "borrowed"
-        text += f"# verified: {outcome.inputs_checked} inputs, ancilla={mode}\n"
+        text += (f"# verified: {outcome.inputs_checked} inputs, "
+                 f"ancilla={expansion.ancilla_mode.value}\n")
     _write_text(args.output, text)
     return 0
 
@@ -200,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a circuit for a permutation")
-    p.add_argument("--algo", choices=ALGORITHMS, required=True)
+    p.add_argument("--algo", choices=SYNTHESIZERS, required=True)
     p.add_argument("--in", dest="input", default="-", metavar="FILE",
                    help="truth-vector file (default stdin)")
     p.add_argument("--out", dest="output", default="-", metavar="FILE",
@@ -219,20 +212,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="price a circuit under a garbage policy")
     p.add_argument("--circuit", required=True, metavar="FILE")
-    p.add_argument("--garbage", choices=("0", "1", "n-3"), default="0")
+    p.add_argument("--garbage", choices=[policy.value for policy in GarbagePolicy], default="0")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("enumerate",
                        help="synthesize every permutation on n lines and histogram the gate counts")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--algo", choices=ALGORITHMS, required=True)
+    p.add_argument("--algo", choices=SYNTHESIZERS, required=True)
     p.add_argument("--csv", metavar="FILE", help="also write 'gates,count' rows")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("bfs", help="exact distances over a gate-library graph")
-    p.add_argument("--set", choices=("I", "H"), required=True,
+    p.add_argument("--set", choices=LABELS, required=True,
                    help="I: all-positive controls of any arity; H: full-control mixed polarity")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csv", metavar="FILE", help="write 'distance,count' rows")

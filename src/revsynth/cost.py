@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .gates import Circuit, Gate
+from .gates import LABELS, Circuit, Gate
 
 
 class GarbagePolicy(enum.Enum):
@@ -23,13 +23,6 @@ class GarbagePolicy(enum.Enum):
     ZERO = "0"
     ONE = "1"
     N_MINUS_THREE = "n-3"
-
-    @classmethod
-    def from_flag(cls, text: str) -> "GarbagePolicy":
-        for policy in cls:
-            if policy.value == text:
-                return policy
-        raise ValueError(f"unknown garbage policy {text!r} (expected 0, 1 or n-3)")
 
 
 def gate_cost(g: Gate, policy: GarbagePolicy = GarbagePolicy.ZERO) -> int:
@@ -94,26 +87,16 @@ def worst_case_qc(
     zero-garbage policy needs the negative-control count ``m`` and the
     garbage policies price the costlier mixed-polarity form.
     """
-    if graph not in ("I", "H"):
+    if graph not in LABELS:
         raise ValueError(f"unknown graph {graph!r} (expected 'I' or 'H')")
-    if n < 1:
-        raise ValueError(f"line count must be >= 1, got {n}")
-    if policy is GarbagePolicy.ZERO:
-        if n < 2:
-            raise ValueError("zero-garbage cost formula needs n >= 2")
-        if graph == "H":
-            if m is None:
-                raise ValueError("graph H with zero garbage needs the negative-control count m")
-            if not 0 <= m <= n - 1:
-                raise ValueError(f"m must be in [0, {n - 1}], got {m}")
-        negatives = m if graph == "H" else 0
-    else:
-        if n < 5:
-            raise ValueError(
-                f"garbage policy {policy.value!r} is defined only for n >= 5"
-            )
-        negatives = 1 if graph == "H" else 0
-    return synthesis_gate_bound(n) * cost_of(n, negatives, policy)
+    zero = policy is GarbagePolicy.ZERO
+    if zero and n < 2:
+        raise ValueError("zero-garbage cost formula needs n >= 2")
+    if graph == "H" and zero and m is None:
+        raise ValueError("graph H with zero garbage needs the negative-control count m")
+    negatives = 0 if graph == "I" else m if zero else 1
+    # cost_of first: it refuses a bad n, m or policy size before n is shifted.
+    return cost_of(n, negatives, policy) * synthesis_gate_bound(n)
 
 
 @dataclass(frozen=True)

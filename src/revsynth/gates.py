@@ -24,11 +24,13 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .perm import TruthVector
+from .perm import TruthVector, decimal
 
 LINE_NAMES = "abcdefghijklmnopqrstuvwx"
 
 ENUMERATE_MAX_LINES = 10
+
+LABELS = ("I", "H")  # the two generator families, C_I and C_H
 
 
 class Gate(namedtuple("Gate", "n target control_mask value_mask", defaults=(0, 0))):
@@ -288,7 +290,7 @@ def parse_circuit(text: str) -> Circuit:
             if n is not None:
                 raise ValueError(f"line {lineno}: duplicate .n header")
             try:
-                n = int(line[2:].strip())
+                n = decimal(line[2:].strip())
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed .n header {line!r}") from None
             if not 1 <= n <= len(LINE_NAMES):
@@ -307,7 +309,7 @@ def _parse_gate(line: str, n: int, lineno: int) -> Gate:
     if not head.startswith("t"):
         raise ValueError(f"line {lineno}: expected a t<size> gate, got {line!r}")
     try:
-        size = int(head[1:])
+        size = decimal(head[1:])
     except ValueError:
         raise ValueError(f"line {lineno}: malformed gate size in {head!r}") from None
     operands = [op.strip() for op in rest.split(",") if op.strip()]
@@ -353,7 +355,7 @@ class GeneratorSet:
     members: tuple[Gate, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.label not in ("I", "H"):
+        if self.label not in LABELS:
             raise ValueError(f"unknown generator set label {self.label!r} (expected 'I' or 'H')")
         n = self.n
         if not 1 <= n <= ENUMERATE_MAX_LINES:

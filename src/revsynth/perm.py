@@ -149,10 +149,19 @@ class TruthVector:
         values = []
         for tok in tokens:
             try:
-                values.append(int(tok))
+                values.append(decimal(tok))
             except ValueError:
                 raise ValueError(f"invalid entry {tok!r}: expected a decimal integer") from None
         return cls(values)
+
+
+def decimal(token: str) -> int:
+    """The value of a text-format numeral, a run of ASCII digits; ValueError
+    for anything else, such as the signs, underscores and non-ASCII digits
+    that ``int`` alone would take."""
+    if not (token.isascii() and token.isdecimal()):
+        raise ValueError(f"not an ASCII decimal numeral: {token!r}")
+    return int(token)
 
 
 # Lehmer-code rank/unrank on raw entry sequences.  These serve every warm BFS

@@ -36,6 +36,16 @@ def test_every_traced_layer_resolves():
     assert missing == []
 
 
+def test_bench_inputs_name_what_the_cli_offers():
+    # bench/workloads.py writes its inputs without importing revsynth, so it
+    # keeps its own copies of the algorithm and strategy names.
+    from revsynth import cli, decompose
+
+    names = runpy.run_path(str(BENCH / "workloads.py"))
+    assert names["ALGORITHMS"] == tuple(cli.SYNTHESIZERS)
+    assert names["STRATEGIES"] == decompose.DECOMPOSE_STRATEGIES
+
+
 def test_child_calls_resolve():
     missing = [
         f"{module}.{attr}"

@@ -1,9 +1,12 @@
 """Exact BFS over both gate-library graphs: histograms, bipartiteness, walks."""
 
+import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import revsynth.cayley as cayley
 from revsynth.cayley import (
@@ -12,7 +15,6 @@ from revsynth.cayley import (
     distance,
     hamming_distance_audit,
     load_dump,
-    permutation_parity,
 )
 from revsynth.gates import GeneratorSet, enumerate_ch, enumerate_ci
 from revsynth.hypercube import hc_synthesize
@@ -164,8 +166,6 @@ def test_same_level_edges_only_in_i_graph():
         gen = enumerate_ch(2) if label == "H" else enumerate_ci(2)
         result = bfs(gen)
         flat = False
-        import itertools
-
         for entries in itertools.permutations(range(4)):
             u = TruthVector(entries)
             du = result.distance_of(u)
@@ -181,7 +181,8 @@ def test_parity_layering_in_h3():
     result = bfs(enumerate_ch(3))
     for _ in range(200):
         tv = TruthVector(rng.sample(range(8), 8))
-        assert result.distance_of(tv) % 2 == permutation_parity(tv.entries)
+        inversions = sum(a > b for a, b in itertools.combinations(tv.entries, 2))
+        assert result.distance_of(tv) % 2 == inversions % 2
 
 
 def test_hamming_audit():
@@ -349,6 +350,26 @@ def test_load_dump_rejects_nonzero_reserved_bytes():
     blob[12] = 1
     with pytest.raises(ValueError, match="reserved"):
         load_dump(bytes(blob))
+
+
+@st.composite
+def dump_like_bytes(draw):
+    """A dump with each header field drawn from good and bad values, often cut short."""
+    n = draw(st.sampled_from((0, 1, 2, 3, 4, 22, 255)))
+    label = draw(st.sampled_from(b"IHX\x00"))
+    reserved = draw(st.sampled_from((bytes(6), bytes([0, 0, 1, 0, 0, 0]))))
+    body = bytes(draw(st.sampled_from((0, 1, 24, 40319, 40320, 40321))))
+    data = DUMP_MAGIC + bytes([n, label]) + reserved + body
+    return data[:draw(st.one_of(st.just(len(data)), st.integers(0, 16)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=40), dump_like_bytes()))
+def test_malformed_dump_raises_only_value_error(data):
+    try:
+        load_dump(data)
+    except ValueError:
+        pass
 
 
 def test_csv_format():

@@ -138,6 +138,17 @@ def test_bfs_with_csv_and_dump(tmp_path, capsys):
     assert len(blob) == 16 + 24
 
 
+def test_bfs_audit_refused_for_set_i(tmp_path, capsys):
+    # The audit sweeps the full-control graph only; under I it would print
+    # H's sandwich line.
+    csv = tmp_path / "i2.csv"
+    assert main(["bfs", "--set", "I", "--n", "2", "--csv", str(csv), "--audit"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --audit sweeps the full-control graph H; got --set I\n"
+    assert not csv.exists()
+
+
 def test_bfs_rejects_sixteen_factorial(capsys):
     assert main(["bfs", "--set", "I", "--n", "4"]) == 1
     assert "20922789888000" in capsys.readouterr().err
@@ -161,6 +172,28 @@ def test_internal_error_exits_three(monkeypatch, capsys, example_vector):
     assert captured.out == ""
     assert captured.err.startswith("error: internal: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algo,name", [
+    ("mmd", "mmd_synthesize"),
+    ("hc-right", "hc_synthesize"),
+    ("hc-left", "hc_synthesize"),
+    ("hc-bi", "hc_bidirectional"),
+])
+def test_synthesizers_are_looked_up_at_call_time(monkeypatch, capsys, example_vector, algo, name):
+    # A tracer wraps these module attributes by name; synth must run the wrapper.
+    calls = []
+    real = getattr(cli, name)
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, counting)
+    assert main(["synth", "--algo", algo, "--in", str(example_vector)]) == 0
+    assert len(calls) == 1
+    assert calls[0] == {"hc-right": ("right",), "hc-left": ("left",)}.get(algo, ())
+    assert capsys.readouterr().out.startswith(".n 3\n")
 
 
 def test_decompose_beyond_line_limit_names_ancilla(tmp_path, capsys):

@@ -175,7 +175,7 @@ def test_report_round_trips_as_json():
 
 
 def test_policy_from_flag():
-    assert GarbagePolicy.from_flag("0") is ZERO
-    assert GarbagePolicy.from_flag("n-3") is NM3
+    assert GarbagePolicy("0") is ZERO
+    assert GarbagePolicy("n-3") is NM3
     with pytest.raises(ValueError):
-        GarbagePolicy.from_flag("2")
+        GarbagePolicy("2")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revsynth.cayley import permutation_parity
 from revsynth.gates import (
     Circuit,
     Gate,
@@ -257,9 +256,14 @@ def test_ch_member_changes_exactly_two_bits_random(n):
         assert tv.hamming(_apply(g, tv)) == 2
 
 
+def _parity(entries) -> int:
+    """Inversion count mod 2: the permutation's parity."""
+    return sum(a > b for a, b in itertools.combinations(entries, 2)) & 1
+
+
 def test_ch_members_are_odd_permutations():
     for g in enumerate_ch(3).members:
-        assert permutation_parity(tuple(_perm(g))) == 1
+        assert _parity(_perm(g)) == 1
 
 
 def test_composition_parity_counts_gates():
@@ -270,7 +274,7 @@ def test_composition_parity_counts_gates():
         tv = TruthVector.identity(3)
         for g in rng.choices(gates, k=k):
             tv = _apply(g, tv)
-        assert permutation_parity(tuple(tv)) == k % 2
+        assert _parity(tv) == k % 2
 
 
 def test_empty_circuit_is_identity_map():
@@ -333,11 +337,34 @@ def test_parse_example_dialect():
         (".n 3\n.n 3\n", "duplicate .n"),
         ("", "missing .n"),
         (".n x\n", "malformed .n"),
+        (".n +1_0\n", "malformed .n"),
+        (".n \u0663\nt\u0661 c\n", "malformed .n"),
+        (".n 3\nt\u0661 c\n", "malformed gate size"),
+        (".n 3\nt+1 c\n", "malformed gate size"),
+        (".n 3\nt-1 c\n", "malformed gate size"),
     ],
 )
 def test_parse_rejections(bad, message):
     with pytest.raises(ValueError, match=message):
         parse_circuit(bad)
+
+
+CIRCUIT_PIECES = (
+    ".n", "t", "t0", "t1 a", "a", "b", "c", "x", "'", ",", " ", "#", "\n", "0", "1", "2", "3", "24",
+    "+1", "-2", "1_0", "\uff12", "\u0663", "\u00b2",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("", ".n 3\n", ".n 1\n", ".n 24\n")),
+    st.lists(st.one_of(st.sampled_from(CIRCUIT_PIECES), st.text(max_size=4)), max_size=30),
+)
+def test_malformed_circuit_text_raises_only_value_error(header, pieces):
+    try:
+        parse_circuit(header + "".join(pieces))
+    except ValueError:
+        pass
 
 
 def test_apply_gate_preserves_bijection_exhaustive_small():

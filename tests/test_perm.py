@@ -200,6 +200,26 @@ def test_text_parse_errors():
         TruthVector.from_text("# only comments\n")
     with pytest.raises(ValueError, match="invalid entry"):
         TruthVector.from_text("0 1 two 3\n")
+    # int() takes all of these; the format allows only ASCII digits.
+    for text in ("+1 0_0 3 \uff12", "0 1 -2 3", "0 1 3 \u0662"):
+        with pytest.raises(ValueError, match="invalid entry"):
+            TruthVector.from_text(text)
+
+
+# Numerals int() accepts that the file formats refuse, plus near misses.
+ODD_NUMERALS = ("+1", "-2", "0_0", "\uff12", "\u0663", "\u00b2", "1e3", "0x1", " 7", "8", "99")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(st.sampled_from(ODD_NUMERALS + ("0", "1", "2", "3", "#", "\n")), st.text(max_size=5)),
+    max_size=24,
+).map(" ".join))
+def test_malformed_text_raises_only_value_error(text):
+    try:
+        TruthVector.from_text(text)
+    except ValueError:
+        pass
 
 
 def test_text_parse_names_the_first_bad_token():
