@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from .gates import LABELS, Circuit, GeneratorSet
-from .perm import TruthVector, rank_entries, unrank_entries
+from .perm import TruthVector, check_lines, rank_entries, unrank_entries
 
 if TYPE_CHECKING:  # numpy is imported on first use, by the functions that need it
     import numpy as np
@@ -50,10 +50,9 @@ DUMP_MAGIC = b"RSYNBFS\x00"
 
 def check_bfs_lines(n: int) -> None:
     """Refuse a line count outside 1..BFS_MAX_LINES; format no vertex count."""
-    if n < 1:
-        raise ValueError(f"line count must be >= 1, got {n}")
-    if n > BFS_MAX_LINES:
+    if n > BFS_MAX_LINES:  # first, so n > MAX_LINES gets this refusal too
         raise ValueError(_REFUSAL.format(n=n))
+    check_lines(n)
 
 
 @dataclass(frozen=True)

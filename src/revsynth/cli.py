@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 
 from . import __version__
-from .cayley import BFS_MAX_LINES, bfs, check_bfs_lines, hamming_distance_audit
+from .cayley import bfs, check_bfs_lines, hamming_distance_audit
 from .cost import GarbagePolicy, cost_report
 from .decompose import DECOMPOSE_STRATEGIES, expand_circuit, verify_circuit_equivalence
 from .gates import LABELS, GeneratorSet, parse_circuit
@@ -79,13 +79,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError(f"line count must be >= 1, got {args.n}")
-    if args.n > BFS_MAX_LINES:
-        raise ValueError(
-            f"enumeration visits (2^n)! permutations; n = {args.n} is beyond "
-            f"desk scale (cap {BFS_MAX_LINES})"
-        )
+    check_bfs_lines(args.n)  # enumeration visits every vertex of the BFS graph
     synthesize = SYNTHESIZERS[args.algo]
     histogram: Counter[int] = Counter()
     for tv in all_truth_vectors(args.n):

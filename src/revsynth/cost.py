@@ -34,13 +34,13 @@ def cost_of(size: int, negatives: int, policy: GarbagePolicy) -> int:
     """Quantum cost from (gate size, negative-control count, policy) alone."""
     if size < 1:
         raise ValueError(f"gate size must be >= 1, got {size}")
-    if not 0 <= negatives < size:
-        raise ValueError(f"{negatives} negative controls impossible at size {size}")
     if policy is not GarbagePolicy.ZERO and size < 5:
         raise ValueError(
             f"garbage policy {policy.value!r} is defined only for gate size >= 5, "
             f"got size {size}"
         )
+    if not 0 <= negatives < size:
+        raise ValueError(f"{negatives} negative controls impossible at size {size}")
     if policy is GarbagePolicy.ZERO:
         if size == 1:
             return 1

@@ -19,7 +19,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .gates import LINE_NAMES, Circuit, Gate, fold_planes, input_planes
+from .gates import Circuit, Gate, fold_planes, input_planes
+from .perm import MAX_LINES
 
 VERIFY_MAX_LINES = 22
 
@@ -60,10 +61,10 @@ class AncillaCircuit:
 def _widened(g: Gate, ancilla: int) -> int:
     """Line count of an expansion of ``g`` that adds ``ancilla`` helper lines."""
     total = g.n + ancilla
-    if total > len(LINE_NAMES):
+    if total > MAX_LINES:
         raise ValueError(
             f"size-{g.size} gate on {g.n} lines needs {ancilla} ancilla lines, "
-            f"{total} in all; the limit is {len(LINE_NAMES)} lines"
+            f"{total} in all; the limit is {MAX_LINES} lines"
         )
     return total
 

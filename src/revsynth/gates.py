@@ -24,9 +24,9 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .perm import TruthVector, decimal
+from .perm import MAX_LINES, TruthVector, check_lines, decimal
 
-LINE_NAMES = "abcdefghijklmnopqrstuvwx"
+LINE_NAMES = "abcdefghijklmnopqrstuvwxyz"[:MAX_LINES]  # not string.ascii_lowercase: 1 ms to import
 
 ENUMERATE_MAX_LINES = 10
 
@@ -50,8 +50,8 @@ class Gate(namedtuple("Gate", "n target control_mask value_mask", defaults=(0, 0
     __slots__ = ()
 
     def __init__(self, n: int, target: int, control_mask: int = 0, value_mask: int = 0):
-        if not 1 <= n <= len(LINE_NAMES):
-            raise ValueError(f"line count {n} out of range [1, {len(LINE_NAMES)}]")
+        if not 1 <= n <= MAX_LINES:  # inline: the message is pinned; runs per gate
+            raise ValueError(f"line count {n} out of range [1, {MAX_LINES}]")
         if not 0 <= target < n:
             raise ValueError(f"target {target} out of range [0, {n})")
         if not 0 <= control_mask < 1 << n:
@@ -234,6 +234,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        check_lines(self.n)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if g.n != self.n:
@@ -293,7 +294,7 @@ def parse_circuit(text: str) -> Circuit:
                 n = decimal(line[2:].strip())
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed .n header {line!r}") from None
-            if not 1 <= n <= len(LINE_NAMES):
+            if not 1 <= n <= MAX_LINES:
                 raise ValueError(f"line {lineno}: line count {n} out of range")
             continue
         if n is None:
@@ -312,19 +313,17 @@ def _parse_gate(line: str, n: int, lineno: int) -> Gate:
         size = decimal(head[1:])
     except ValueError:
         raise ValueError(f"line {lineno}: malformed gate size in {head!r}") from None
-    operands = [op.strip() for op in rest.split(",") if op.strip()]
+    operands = [op.strip() for op in rest.split(",")]  # an empty operand counts
     if size != len(operands):
         raise ValueError(
             f"line {lineno}: gate size t{size} but {len(operands)} operands"
         )
-    if size < 1:
-        raise ValueError(f"line {lineno}: gate needs at least a target")
     target_op = operands[-1]
     if target_op.endswith("'"):
         raise ValueError(f"line {lineno}: target {target_op!r} cannot be negated")
     seen = vm = 0
     for op in operands:
-        name = op.rstrip("'")
+        name = op.removesuffix("'")  # at most one apostrophe
         if len(name) != 1 or name not in LINE_NAMES[:n]:
             raise ValueError(f"line {lineno}: unknown line name {op!r}")
         bit = 1 << LINE_NAMES.index(name)

@@ -13,6 +13,15 @@ from typing import Iterable, Iterator, Sequence
 MAX_LINES = 24
 
 
+def check_lines(n: int) -> int:
+    """2^n for a line count n in 1..MAX_LINES, checked before anything is built."""
+    if n < 1:
+        raise ValueError(f"line count must be >= 1, got {n}")
+    if n > MAX_LINES:
+        raise ValueError(f"{n} lines exceeds the supported maximum {MAX_LINES}")
+    return 1 << n
+
+
 class TruthVector:
     """A bijection over {0, ..., 2^n - 1}, immutable after construction.
 
@@ -32,8 +41,7 @@ class TruthVector:
         if size < 2 or size & (size - 1) != 0:
             raise ValueError(f"length {size} is not a power of two >= 2")
         n = size.bit_length() - 1
-        if n > MAX_LINES:
-            raise ValueError(f"{n} lines exceeds the supported maximum {MAX_LINES}")
+        check_lines(n)
         where = [-1] * size
         for pos, value in enumerate(entries):
             if not 0 <= value < size:
@@ -52,27 +60,20 @@ class TruthVector:
 
     @classmethod
     def identity(cls, n: int) -> "TruthVector":
-        if n < 1:
-            raise ValueError(f"line count must be >= 1, got {n}")
-        return cls(range(1 << n))
+        return cls(range(check_lines(n)))
 
     @classmethod
     def reverse(cls, n: int) -> "TruthVector":
         """The order-reversing permutation i -> 2^n - 1 - i."""
-        if n < 1:
-            raise ValueError(f"line count must be >= 1, got {n}")
-        size = 1 << n
+        size = check_lines(n)
         return cls(size - 1 - i for i in range(size))
 
     @classmethod
     def unrank(cls, r: int, n: int) -> "TruthVector":
         """Inverse of :meth:`rank` under lexicographic (Lehmer code) order."""
-        if n < 1:
-            raise ValueError(f"line count must be >= 1, got {n}")
-        if n > MAX_LINES:
-            raise ValueError(f"{n} lines exceeds the supported maximum {MAX_LINES}")
+        size = check_lines(n)
         try:
-            entries = unrank_entries(r, 1 << n)
+            entries = unrank_entries(r, size)
         except ValueError:
             raise ValueError(f"rank {r} out of range [0, (2^{n})!)") from None
         return cls(entries)

@@ -46,6 +46,18 @@ def test_bench_inputs_name_what_the_cli_offers():
     assert names["STRATEGIES"] == decompose.DECOMPOSE_STRATEGIES
 
 
+def test_bench_copies_of_line_limits_match_the_library():
+    # bench/workloads.py and bench/check.py run without revsynth, so they
+    # keep their own line names and verification budget.
+    from revsynth import decompose, gates
+
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    check = runpy.run_path(str(BENCH / "check.py"))
+    assert workloads["LINE_NAMES"] == gates.LINE_NAMES
+    assert check["LINE_NAMES"] == gates.LINE_NAMES
+    assert check["VERIFY_MAX_LINES"] == decompose.VERIFY_MAX_LINES
+
+
 def test_child_calls_resolve():
     missing = [
         f"{module}.{attr}"

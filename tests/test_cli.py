@@ -110,6 +110,14 @@ def test_enumerate_rejects_large_n(capsys):
     assert "desk scale" in capsys.readouterr().err
 
 
+def test_enumerate_shares_the_bfs_refusal(capsys):
+    for n in ("4", "30"):
+        assert main(["enumerate", "--n", n, "--algo", "mmd"]) == 1
+        enumerate_err = capsys.readouterr().err
+        assert main(["bfs", "--set", "I", "--n", n]) == 1
+        assert capsys.readouterr().err == enumerate_err
+
+
 def test_enumerate_rejects_zero_lines(capsys):
     assert main(["enumerate", "--n", "0", "--algo", "mmd"]) == 1
     assert capsys.readouterr().err == "error: line count must be >= 1, got 0\n"
@@ -136,6 +144,29 @@ def test_bfs_with_csv_and_dump(tmp_path, capsys):
     assert blob[:8] == b"RSYNBFS\x00"
     assert blob[8] == 2 and blob[9:10] == b"H"
     assert len(blob) == 16 + 24
+
+
+def test_bfs_prints_the_odd_walk_in_full(capsys):
+    assert main(["bfs", "--set", "I", "--n", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "generator set: I, lines: 2\n"
+        "vertices: 24\n"
+        "distance   0: 1\n"
+        "distance   1: 4\n"
+        "distance   2: 9\n"
+        "distance   3: 7\n"
+        "distance   4: 3\n"
+        "diameter: 4\n"
+        "average distance: 2.29\n"
+        "bipartite: no\n"
+        "odd closed walk (5 edges):\n"
+        "  [0 1 2 3]\n"
+        "  [1 0 3 2]\n"
+        "  [1 0 2 3]\n"
+        "  [3 2 0 1]\n"
+        "  [2 3 0 1]\n"
+        "  [0 1 2 3]\n"
+    )
 
 
 def test_bfs_audit_refused_for_set_i(tmp_path, capsys):

@@ -142,6 +142,14 @@ def test_worst_case_rejections():
         worst_case_qc(4, "I", ONE)
     with pytest.raises(ValueError):
         worst_case_qc(1, "I", ZERO)
+    # The policy's size floor is named, not the count worst_case_qc chose.
+    with pytest.raises(ValueError, match="size >= 5"):
+        worst_case_qc(1, "H", ONE)
+
+
+def test_cost_report_refuses_a_zero_line_circuit():
+    with pytest.raises(ValueError, match="^line count must be >= 1, got 0$"):
+        cost_report(Circuit(0), ZERO)
 
 
 def test_worst_case_h_zero_small_sizes_use_the_cost_table():

@@ -306,6 +306,18 @@ def test_invert_reverses_gate_order():
     assert Circuit(2).inverse().gates == ()
 
 
+@pytest.mark.parametrize("n,message", [
+    (0, "^line count must be >= 1, got 0$"),
+    (-2, "^line count must be >= 1, got -2$"),
+    (25, "^25 lines exceeds the supported maximum 24$"),
+    (30, "^30 lines exceeds the supported maximum 24$"),
+])
+def test_circuit_refuses_line_count_out_of_range(n, message):
+    # Even with no gates: parse_circuit would refuse the ".n" that to_text wrote.
+    with pytest.raises(ValueError, match=message):
+        Circuit(n)
+
+
 def test_circuit_rejects_foreign_gate():
     with pytest.raises(ValueError):
         Circuit(3, (not_gate(2, 0),))
@@ -342,6 +354,11 @@ def test_parse_example_dialect():
         (".n 3\nt\u0661 c\n", "malformed gate size"),
         (".n 3\nt+1 c\n", "malformed gate size"),
         (".n 3\nt-1 c\n", "malformed gate size"),
+        (".n 3\nt2 a'',b\n", "unknown line name \"a''\""),
+        (".n 3\nt2 a,,b\n", "t2 but 3 operands"),
+        (".n 3\nt2 ,a,b\n", "t2 but 3 operands"),
+        (".n 3\nt3 a,,b\n", "unknown line name ''"),
+        (".n 3\nt0\n", "t0 but 1 operands"),
     ],
 )
 def test_parse_rejections(bad, message):

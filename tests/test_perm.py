@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revsynth.perm import TruthVector, rank_entries, unrank_entries
+from revsynth.perm import TruthVector, check_lines, rank_entries, unrank_entries
 
 
 def test_identity_vectors():
@@ -172,6 +172,27 @@ def test_unrank_refuses_too_many_lines_quickly():
     with pytest.raises(ValueError, match="supported maximum 24"):
         TruthVector.unrank(0, 25)
     assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("build,n", [
+    (TruthVector.identity, 25),
+    (TruthVector.reverse, 25),
+    (TruthVector.identity, 64),
+])
+def test_constructors_refuse_too_many_lines_before_building(build, n):
+    # The check runs before the 2^n entries exist: no seconds, no MemoryError.
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{n} lines exceeds the supported maximum 24$"):
+        build(n)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_line_count_check_names_both_limits():
+    assert check_lines(1) == 2 and check_lines(24) == 1 << 24
+    with pytest.raises(ValueError, match=r"^line count must be >= 1, got -3$"):
+        check_lines(-3)
+    with pytest.raises(ValueError, match="^25 lines exceeds the supported maximum 24$"):
+        check_lines(25)
 
 
 def test_unrank_at_the_line_limit_is_quick():
