@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass
 
 from .gates import LABELS, Circuit, Gate
+from .perm import check_lines
 
 
 class GarbagePolicy(enum.Enum):
@@ -32,8 +33,7 @@ def gate_cost(g: Gate, policy: GarbagePolicy = GarbagePolicy.ZERO) -> int:
 
 def cost_of(size: int, negatives: int, policy: GarbagePolicy) -> int:
     """Quantum cost from (gate size, negative-control count, policy) alone."""
-    if size < 1:
-        raise ValueError(f"gate size must be >= 1, got {size}")
+    check_lines(size)  # a size-s gate spans s lines or more; refused before 2^s is formed
     if policy is not GarbagePolicy.ZERO and size < 5:
         raise ValueError(
             f"garbage policy {policy.value!r} is defined only for gate size >= 5, "
@@ -65,12 +65,13 @@ def circuit_cost(
 
 def max_gate_cost(n: int, policy: GarbagePolicy) -> int:
     """Largest cost any single gate on n lines can have under the policy."""
+    check_lines(n)
     return max(cost_of(n, m, policy) for m in range(n))
 
 
 def synthesis_gate_bound(n: int) -> int:
     """Upper bound (n-1)*2^n + 1 on gates emitted by either synthesis."""
-    return (n - 1) * (1 << n) + 1
+    return (n - 1) * check_lines(n) + 1
 
 
 def worst_case_qc(

@@ -20,9 +20,10 @@ Both families have n * 2^(n-1) members and every member is an involution.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .perm import MAX_LINES, TruthVector, check_lines, decimal
 
@@ -102,14 +103,13 @@ class Gate(namedtuple("Gate", "n target control_mask value_mask", defaults=(0, 0
         return self.size == self.n
 
     def spec(self) -> str:
-        """Gate in circuit-file notation, e.g. ``t3 a,c',b``."""
+        """Gate in circuit-file notation, e.g. ``t3 a,c',b``; one lookup per 4 lines."""
         cm, vm = self.control_mask, self.value_mask
-        operands = [
-            LINE_NAMES[c] + ("" if vm >> c & 1 else "'")
-            for c in range(self.n) if cm >> c & 1
-        ]
-        operands.append(LINE_NAMES[self.target])
-        return f"t{self.size} {','.join(operands)}"
+        text, nibbles = f"t{cm.bit_count() + 1} ", iter(_operands())
+        while cm:
+            text += next(nibbles)[(cm & 15) << 4 | vm & 15]
+            cm, vm = cm >> 4, vm >> 4
+        return text + LINE_NAMES[self.target]
 
     def __str__(self) -> str:
         return self.spec()
@@ -199,6 +199,14 @@ def _lines(mask: int) -> frozenset[int]:
     return frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
 
 
+@functools.cache  # on first use: an eager build would cost every import 1-3 ms
+def _operands() -> tuple[tuple[str, ...], ...]:
+    """[k][cm4 << 4 | vm4]: the operands of lines 4k..4k+3, each with its comma."""
+    return tuple(tuple("".join(LINE_NAMES[k + c] + ("," if vm4 >> c & 1 else "',")
+                               for c in range(4) if cm4 >> c & 1)
+                       for cm4 in range(16) for vm4 in range(16)) for k in range(0, MAX_LINES, 4))
+
+
 def toffoli(
     n: int, controls: Iterable[int], target: int, negated: Iterable[int] = ()
 ) -> Gate:
@@ -268,9 +276,7 @@ class Circuit:
         return self.apply(TruthVector.identity(self.n))
 
     def to_text(self) -> str:
-        lines = [f".n {self.n}"]
-        lines.extend(g.spec() for g in self.gates)
-        return "\n".join(lines) + "\n"
+        return "\n".join([f".n {self.n}", *map(Gate.spec, self.gates), ""])
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -354,26 +360,25 @@ class GeneratorSet:
     members: tuple[Gate, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"unknown generator set label {self.label!r} (expected 'I' or 'H')")
         n = self.n
         if not 1 <= n <= ENUMERATE_MAX_LINES:
             raise ValueError(f"line count {n} out of range [1, {ENUMERATE_MAX_LINES}]")
-        full = (1 << n) - 1
-        members = []
-        for target in range(n):
-            bit = 1 << target
-            low = bit - 1
-            for subset in range(1 << (n - 1)):
-                pattern = subset & low | (subset & ~low) << 1  # a 0 spliced in at the target bit
-                if self.label == "I":  # the pattern is the positive controls
-                    members.append(Gate(n, target, pattern, pattern))
-                else:  # every other line controls; lines outside the pattern fire on 0
-                    members.append(Gate(n, target, full ^ bit, pattern))
-        object.__setattr__(self, "members", tuple(members))
+        rule = _family_rule(self.label, n)  # target t, then each (n-1)-bit s with a 0 put in at t
+        object.__setattr__(self, "members", tuple(rule(t, s & (1 << t) - 1 | s >> t << t + 1)
+                                                  for t in range(n) for s in range(1 << n - 1)))
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def _family_rule(label: str, n: int) -> Callable[[int, int], Gate]:
+    """Family ``label``'s gate from a target and a pattern with the target bit clear: the
+    positive controls (C_I), or the controls firing on 1 of a full-control gate (C_H)."""
+    full = check_lines(n) - 1
+    if label not in LABELS:
+        raise ValueError(f"unknown generator set label {label!r} (expected 'I' or 'H')")
+    others = full if label == "H" else 0
+    return lambda target, pattern: Gate(n, target, pattern | others & ~(1 << target), pattern)
 
 
 def enumerate_ci(n: int) -> GeneratorSet:
@@ -384,3 +389,13 @@ def enumerate_ci(n: int) -> GeneratorSet:
 def enumerate_ch(n: int) -> GeneratorSet:
     """All full-control gates, one per target and polarity pattern."""
     return GeneratorSet("H", n)
+
+
+@functools.cache
+def family_gate(label: str, n: int) -> Callable[[int, int], Gate]:
+    """``gate(target, pattern)`` as :func:`_family_rule` builds it, but up to ENUMERATE_MAX_LINES
+    the cached set's shared member, at ``target << n-1`` plus the pattern less its target bit."""
+    if n > ENUMERATE_MAX_LINES:  # the set cannot be enumerated: each call builds a gate
+        return _family_rule(label, n)
+    members = GeneratorSet(label, n).members
+    return lambda t, p: members[t << n - 1 | p & (1 << t) - 1 | p >> 1 & -1 << t]

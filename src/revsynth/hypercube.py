@@ -10,7 +10,7 @@ at most (n-1)*2^n + 1 gates.
 
 from __future__ import annotations
 
-from .gates import Circuit, Gate
+from .gates import Circuit, family_gate
 from .perm import TruthVector
 
 RIGHT = "right"
@@ -34,19 +34,16 @@ def hc_synthesize(f: TruthVector, order: str = RIGHT) -> Circuit:
 
 def hc_bidirectional(f: TruthVector) -> Circuit:
     """The smaller of the right-order and left-order cascades (tie: right)."""
-    right = _scan(f, RIGHT)
-    left = _scan(f, LEFT)
-    return _circuit(f.n, right if len(right) <= len(left) else left)
+    return _circuit(f.n, min(_scan(f, RIGHT), _scan(f, LEFT), key=len))  # min keeps the first
 
 
-def _scan(f: TruthVector, order: str) -> list[tuple[int, int, int]]:
-    """The cascade of :func:`hc_synthesize` as (target, control_mask, value_mask)."""
+def _scan(f: TruthVector, order: str) -> list[tuple[int, int]]:
+    """The cascade of :func:`hc_synthesize` as :func:`family_gate` (target, pattern) pairs."""
     n = f.n
     size = 1 << n
     entries, where = list(f.entries), list(f.where)
 
-    gates: list[tuple[int, int, int]] = []
-    full = size - 1
+    gates: list[tuple[int, int]] = []
     scan = range(size - 1, 0, -1) if order == RIGHT else range(size - 1)
     for i in scan:
         v = entries[i]
@@ -55,7 +52,7 @@ def _scan(f: TruthVector, order: str) -> list[tuple[int, int, int]]:
         for j in range(n):
             bit = 1 << j
             if (v ^ i) & bit:
-                gates.append((j, full ^ bit, v & ~bit))
+                gates.append((j, v & ~bit))
                 # The gate swaps v and partner.  The only gate action outside
                 # fold_into/fold_planes: swapping inline measured faster.
                 partner = v ^ bit
@@ -69,5 +66,6 @@ def _scan(f: TruthVector, order: str) -> list[tuple[int, int, int]]:
     return gates
 
 
-def _circuit(n: int, gates: list[tuple[int, int, int]]) -> Circuit:
-    return Circuit(n, tuple(Gate(n, *g) for g in gates))
+def _circuit(n: int, pairs: list[tuple[int, int]]) -> Circuit:
+    gate = family_gate("H", n)
+    return Circuit(n, tuple(gate(t, p) for t, p in pairs))

@@ -9,7 +9,7 @@ reverse it realizes the function from the identity.  Gate count never exceeds
 
 from __future__ import annotations
 
-from .gates import Circuit, Gate, fold_into
+from .gates import Circuit, Gate, family_gate, fold_into
 from .perm import TruthVector
 
 
@@ -32,6 +32,7 @@ def mmd_synthesize(f: TruthVector) -> Circuit:
     n = f.n
     size = 1 << n
     entries, where = list(f.entries), list(f.where)
+    gate = family_gate("I", n)
     gates: list[Gate] = []
 
     for i in range(size):
@@ -39,14 +40,8 @@ def mmd_synthesize(f: TruthVector) -> Circuit:
         if v == i:
             continue
         step = len(gates)
-        add_bits = i & ~v
-        drop_bits = v & ~i
-        for j in range(n):
-            if add_bits >> j & 1:
-                gates.append(Gate(n, j, v, v))
-        for k in range(n):
-            if drop_bits >> k & 1:
-                gates.append(Gate(n, k, i, i))
+        gates += [gate(j, v) for j in range(n) if (i & ~v) >> j & 1]  # bits to switch on
+        gates += [gate(k, i) for k in range(n) if (v & ~i) >> k & 1]  # then off
         fold_into(entries, where, gates[step:])
 
     if entries != list(range(size)):

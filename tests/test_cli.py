@@ -1,6 +1,7 @@
 """Exercise every subcommand through main(argv) plus one real subprocess."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from revsynth import cli
 from revsynth.cli import main
-from revsynth.gates import Circuit, parse_circuit
+from revsynth.gates import Circuit, Gate, parse_circuit
 from revsynth.perm import TruthVector
 
 
@@ -349,3 +350,33 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, example_vector):
     assert in_sequence[0][1] != in_sequence[5][1]  # the --direction default came back
     for argv, seen in zip(calls, in_sequence):
         assert seen == _run_calls([argv])[0], argv
+
+
+def test_warm_synth_builds_no_gate(tmp_path, monkeypatch):
+    # Every emitted gate is a shared generating-set member once the sets for
+    # n exist, so a repeated synth call builds none, parse to text included.
+    rng = random.Random(3)
+    calls = []
+    for n in range(3, 11):
+        path = tmp_path / f"f{n}.tv"
+        path.write_text(TruthVector(rng.sample(range(1 << n), 1 << n)).to_text())
+        for algo in cli.SYNTHESIZERS:
+            for direction in ("to-identity", "from-identity"):
+                calls.append(["synth", "--algo", algo, "--in", str(path),
+                              "--out", str(tmp_path / "out.tfc"), "--direction", direction])
+    for argv in calls:  # warm: the generating sets and the operand table are built here
+        assert main(argv) == 0
+    built = 0
+    init = Gate.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Gate, "__init__", counting)
+    Gate(3, 0)
+    assert built == 1  # the wrapper counts
+    for argv in calls:
+        assert main(argv) == 0
+    assert built == 1

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revsynth.gates import (
+    LINE_NAMES,
     Circuit,
     Gate,
     GeneratorSet,
     cnot,
     enumerate_ch,
     enumerate_ci,
+    family_gate,
     fold_planes,
     input_planes,
     mc_gate,
@@ -467,3 +469,116 @@ def test_toffoli_views_and_text_round_trip(data):
     assert g.controls == frozenset(controls) and g.negated == frozenset(negated)
     assert g.size == len(controls) + 1 and g.num_negative == len(negated)
     assert parse_circuit(Circuit(n, (g,)).to_text()).gates == (g,)
+
+
+# -- text emission: four lines per lookup ----------------------------------------
+
+def _reference_spec(g: Gate) -> str:
+    # The per-line rendering that Gate.spec replaced: one string per control.
+    cm, vm = g.control_mask, g.value_mask
+    operands = [LINE_NAMES[c] + ("" if vm >> c & 1 else "'") for c in range(g.n) if cm >> c & 1]
+    operands.append(LINE_NAMES[g.target])
+    return f"t{g.size} {','.join(operands)}"
+
+
+@st.composite
+def masked_gates(draw, n):
+    target = draw(st.integers(0, n - 1))
+    cm = draw(st.integers(0, (1 << n) - 1)) & ~(1 << target)
+    return Gate(n, target, cm, cm & draw(st.integers(0, (1 << n) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.lists(masked_gates(n), max_size=8).map(
+    lambda gates: Circuit(n, gates))))
+def test_spec_matches_the_per_line_rendering(c):
+    for g in c.gates:
+        assert g.spec() == _reference_spec(g) == str(g)
+    assert c.to_text() == "".join([f".n {c.n}\n"] + [_reference_spec(g) + "\n" for g in c.gates])
+    assert parse_circuit(c.to_text()) == c
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_spec_matches_the_per_line_rendering_exhaustively(n):
+    gates = [
+        Gate(n, t, cm, vm)
+        for t in range(n)
+        for cm in range(1 << n) if not cm >> t & 1
+        for vm in range(1 << n) if vm & ~cm == 0
+    ]
+    assert len(gates) == n * 3 ** (n - 1)  # each other line: no control, on 0 or on 1
+    assert [g.spec() for g in gates] == [_reference_spec(g) for g in gates]
+    assert parse_circuit(Circuit(n, gates).to_text()).gates == tuple(gates)
+
+
+# -- family_gate: synthesizers emit the shared members -----------------------------
+
+def _rule_gate(label: str, n: int, target: int, pattern: int) -> Gate:
+    # The two mask rules, written out: C_I controls on the pattern, all firing
+    # on 1; C_H controls on every other line, firing on 1 inside the pattern.
+    if label == "I":
+        return Gate(n, target, pattern, pattern)
+    return Gate(n, target, ((1 << n) - 1) ^ (1 << target), pattern)
+
+
+def _patterns(n: int, target: int) -> list[int]:
+    return [p for p in range(1 << n) if not p >> target & 1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("label", ["I", "H"])
+def test_family_gate_returns_the_shared_members(label, n):
+    gate = family_gate(label, n)
+    # Canonical member order is target, then pattern: the lookup visits the
+    # set in order, so every member is found at its own index.
+    found = [gate(t, p) for t in range(n) for p in _patterns(n, t)]
+    assert found == list(GeneratorSet(label, n).members)
+    assert found == [_rule_gate(label, n, t, p) for t in range(n) for p in _patterns(n, t)]
+    again = family_gate(label, n)
+    assert all(g is again(g.target, g.value_mask) for g in found)
+    assert len({id(g) for g in found}) == n << (n - 1)
+
+
+@pytest.mark.parametrize("label", ["I", "H"])
+def test_family_gate_samples_at_ten_lines(label):
+    rng = random.Random(10)
+    gate = family_gate(label, 10)
+    members = GeneratorSet(label, 10).members
+    for _ in range(500):
+        t = rng.randrange(10)
+        p = rng.getrandbits(10) & ~(1 << t)
+        g = gate(t, p)
+        assert g == _rule_gate(label, 10, t, p)
+        assert g == members[t << 9 | p & ((1 << t) - 1) | (p >> (t + 1)) << t]
+        assert g is gate(t, p)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("label", ["I", "H"])
+def test_family_gate_builds_checked_gates_past_the_enumeration_cap(label, n, monkeypatch):
+    built = 0
+    init = Gate.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Gate, "__init__", counting)
+    rng = random.Random(n)
+    gate = family_gate(label, n)
+    for _ in range(200):
+        t = rng.randrange(n)
+        p = rng.getrandbits(n) & ~(1 << t)
+        before = built
+        g = gate(t, p)
+        assert built == before + 1  # a new gate, through Gate.__init__
+        assert g == _rule_gate(label, n, t, p) and g is not gate(t, p)
+    with pytest.raises(ValueError):  # the checks ran: a pattern holding the target is refused
+        gate(0, 1)
+
+
+def test_family_gate_refusals():
+    for label, n in (("X", 3), ("X", 11), ("I", 0), ("H", 25), ("I", 10**7)):
+        with pytest.raises(ValueError):
+            family_gate(label, n)

@@ -243,3 +243,21 @@ def test_wide_reverify_costs_the_swaps_not_the_entries():
         assert circuit.apply(f).is_identity()
         timings.append(time.perf_counter() - started)
     assert min(timings) < 0.05, (len(circuit), timings)
+
+
+@pytest.mark.parametrize("n", [10, 11])  # shared set members, then gates built one by one
+def test_cascades_on_both_sides_of_the_enumeration_cap_stay_in_their_family(n):
+    f = TruthVector(random.Random(n).sample(range(1 << n), 1 << n))
+    bound = (n - 1) * (1 << n) + 1
+    cascades = {
+        "I": [mmd_synthesize(f)],
+        "H": [hc_synthesize(f, "right"), hc_synthesize(f, "left"), hc_bidirectional(f)],
+    }
+    for label, circuits in cascades.items():
+        for circuit in circuits:
+            assert circuit.apply(f).is_identity() and 0 < len(circuit) <= bound
+            if label == "I":
+                assert all(g.is_g_toffoli() for g in circuit)
+            else:
+                assert all(g.is_mc_toffoli() for g in circuit)
+    assert hc_bidirectional(f) == min(cascades["H"][:2], key=len)
