@@ -12,9 +12,10 @@ constants for all-positive gates, -86/-23 once any control is negative).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
-from .gates import LABELS, Circuit, Gate
+from .gates import CACHE_SIZE, LABELS, Circuit, Gate
 from .perm import check_lines
 
 
@@ -117,10 +118,7 @@ class CostReport:
         return {
             "lines": self.n,
             "policy": self.policy.value,
-            "gates": [
-                {"size": s, "negative_controls": m, "cost": c}
-                for s, m, c in self.rows
-            ],
+            "gates": [{"size": s, "negative_controls": m, "cost": c} for s, m, c in self.rows],
             "gate_count": self.gate_count,
             "quantum_cost": self.quantum_cost,
             "gate_count_bound": self.gate_bound,
@@ -143,12 +141,15 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)  # a refused (gate, policy) raises and is never kept
+def _row(g: Gate, policy: GarbagePolicy) -> tuple[int, int, int]:
+    return g.size, g.num_negative, gate_cost(g, policy)
+
+
 def cost_report(c: Circuit, policy: GarbagePolicy) -> CostReport:
-    rows = tuple((g.size, g.num_negative, gate_cost(g, policy)) for g in c.gates)
-    notes = [
-        f"quantum-cost bound prices {synthesis_gate_bound(c.n)} gates at the "
-        f"costliest size-{c.n} cost {max_gate_cost(c.n, policy)}"
-    ]
+    rows = tuple([_row(g, policy) for g in c.gates])
+    bound, worst = synthesis_gate_bound(c.n), max_gate_cost(c.n, policy)
+    notes = [f"quantum-cost bound prices {bound} gates at the costliest size-{c.n} cost {worst}"]
     if any(s == 2 and m == 1 for s, m, _ in rows):
         notes.append(
             "negative-control CNOT costed 2 (NOT + CNOT pair); "
@@ -160,7 +161,7 @@ def cost_report(c: Circuit, policy: GarbagePolicy) -> CostReport:
         rows=rows,
         gate_count=len(rows),
         quantum_cost=sum(cost for _, _, cost in rows),
-        gate_bound=synthesis_gate_bound(c.n),
-        qc_bound=synthesis_gate_bound(c.n) * max_gate_cost(c.n, policy),
+        gate_bound=bound,
+        qc_bound=bound * worst,
         notes=tuple(notes),
     )

@@ -30,6 +30,7 @@ from .perm import MAX_LINES, TruthVector, check_lines, decimal
 LINE_NAMES = "abcdefghijklmnopqrstuvwxyz"[:MAX_LINES]  # not string.ascii_lowercase: 1 ms to import
 
 ENUMERATE_MAX_LINES = 10
+CACHE_SIZE = 4096  # entries kept by each text-boundary cache (gate lines, cost rows); LRU past it
 
 LABELS = ("I", "H")  # the two generator families, C_I and C_H
 
@@ -111,8 +112,7 @@ class Gate(namedtuple("Gate", "n target control_mask value_mask", defaults=(0, 0
             cm, vm = cm >> 4, vm >> 4
         return text + LINE_NAMES[self.target]
 
-    def __str__(self) -> str:
-        return self.spec()
+    __str__ = spec
 
 
 # -- the gate-action kernel ----------------------------------------------------
@@ -246,9 +246,7 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if g.n != self.n:
-                raise ValueError(
-                    f"gate {g.spec()!r} has {g.n} lines, circuit has {self.n}"
-                )
+                raise ValueError(f"gate {g.spec()!r} has {g.n} lines, circuit has {self.n}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -285,62 +283,63 @@ def parse_circuit(text: str) -> Circuit:
     ``# ...`` lines are comments.  The header ``.n <count>`` precedes the
     gates.  Each gate line is ``t<size> <controls...,target>`` with operands
     named a, b, c, ... (a = line 0, the least significant bit); a trailing
-    apostrophe marks a control that fires on 0.
+    apostrophe marks a control that fires on 0.  Every refusal names its line.
     """
     n: int | None = None
     gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith(".n"):
-            if n is not None:
-                raise ValueError(f"line {lineno}: duplicate .n header")
-            try:
-                n = decimal(line[2:].strip())
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed .n header {line!r}") from None
-            if not 1 <= n <= MAX_LINES:
-                raise ValueError(f"line {lineno}: line count {n} out of range")
-            continue
-        if n is None:
-            raise ValueError(f"line {lineno}: gate before .n header")
-        gates.append(_parse_gate(line, n, lineno))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith(".n"):
+                if n is not None:
+                    raise ValueError("duplicate .n header")
+                try:
+                    n = decimal(line[2:].strip())
+                except ValueError:
+                    raise ValueError(f"malformed .n header {line!r}") from None
+                check_lines(n)
+            elif n is None:
+                raise ValueError("gate before .n header")
+            else:
+                gates.append(_parse_gate(line, n))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing .n header")
     return Circuit(n, tuple(gates))
 
 
-def _parse_gate(line: str, n: int, lineno: int) -> Gate:
+@functools.lru_cache(maxsize=CACHE_SIZE)  # shares the immutable Gate; a refused line is not kept
+def _parse_gate(line: str, n: int) -> Gate:
     head, _, rest = line.partition(" ")
     if not head.startswith("t"):
-        raise ValueError(f"line {lineno}: expected a t<size> gate, got {line!r}")
+        raise ValueError(f"expected a t<size> gate, got {line!r}")
     try:
         size = decimal(head[1:])
     except ValueError:
-        raise ValueError(f"line {lineno}: malformed gate size in {head!r}") from None
+        raise ValueError(f"malformed gate size in {head!r}") from None
     operands = [op.strip() for op in rest.split(",")]  # an empty operand counts
     if size != len(operands):
-        raise ValueError(
-            f"line {lineno}: gate size t{size} but {len(operands)} operands"
-        )
+        raise ValueError(f"gate size t{size} but {len(operands)} operands")
     target_op = operands[-1]
     if target_op.endswith("'"):
-        raise ValueError(f"line {lineno}: target {target_op!r} cannot be negated")
+        raise ValueError(f"target {target_op!r} cannot be negated")
     seen = vm = 0
     for op in operands:
         name = op.removesuffix("'")  # at most one apostrophe
-        if len(name) != 1 or name not in LINE_NAMES[:n]:
-            raise ValueError(f"line {lineno}: unknown line name {op!r}")
-        bit = 1 << LINE_NAMES.index(name)
+        c = LINE_NAMES.find(name) if len(name) == 1 else -1
+        if not 0 <= c < n:
+            raise ValueError(f"unknown line name {op!r}")
+        bit = 1 << c
         if seen & bit:
-            raise ValueError(f"line {lineno}: duplicate operand {name!r}")
+            raise ValueError(f"duplicate operand {name!r}")
         seen |= bit
         if op == name:  # fires on 1
             vm |= bit
-    target = LINE_NAMES.index(target_op)
-    cm = seen & ~(1 << target)
-    return Gate(n, target, cm, vm & cm)
+    cm = seen & ~bit  # the last operand, line c, is the target
+    return Gate(n, c, cm, vm & cm)
 
 
 # -- generating sets -----------------------------------------------------------

@@ -345,11 +345,32 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, example_vector):
         ["bfs", "--set", "I", "--n", "2"],
         ["synth", "--algo", "hc-bi", "--in", str(example_vector)],
     ]
+    # The text boundary's caches are warm on each second run: decompose, cost
+    # and apply parse the same circuit twice, cost prices the same gates twice.
+    wide = tmp_path / "wide.tfc"
+    wide.write_text(".n 7\nt6 a,b',c,d,e,g\nt7 a',b,c,d,e,f',g\nt5 c,d',e,f,a\nt6 a,b',c,d,e,g\n")
+    broken = tmp_path / "broken.tfc"
+    broken.write_text(".n 7\nt6 a,b',c,d,e,g\nt2 a,h\n")
+    outputs = [tmp_path / f"wide-{k}.tfc" for k in range(2)]
+    for out in outputs:
+        calls += [
+            ["decompose", "--circuit", str(wide), "--strategy", "one-garbage", "--verify",
+             "--out", str(out)],
+            ["cost", "--circuit", str(out), "--garbage", "0"],
+            ["cost", "--circuit", str(wide), "--garbage", "n-3", "--format", "json"],
+            ["apply", "--circuit", str(wide)],
+            ["cost", "--circuit", str(broken)],
+        ]
     in_sequence = _run_calls(calls)
-    assert [rc for rc, _, _ in in_sequence] == [0, 2, 1, 0, 0, 0]
+    assert [rc for rc, _, _ in in_sequence] == [0, 2, 1, 0, 0, 0] + [0, 0, 0, 0, 1] * 2
     assert in_sequence[0][1] != in_sequence[5][1]  # the --direction default came back
+    assert in_sequence[10][2] == "error: line 3: unknown line name 'h'\n"
+    assert in_sequence[6:11] == in_sequence[11:16]
+    written = [out.read_text() for out in outputs]
+    assert written[0] == written[1] and "# verified: " in written[0]
     for argv, seen in zip(calls, in_sequence):
         assert seen == _run_calls([argv])[0], argv
+    assert [out.read_text() for out in outputs] == written  # the fresh runs wrote the same
 
 
 def test_warm_synth_builds_no_gate(tmp_path, monkeypatch):

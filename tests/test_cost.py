@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from revsynth import cost
 from revsynth.cost import (
     GarbagePolicy,
     circuit_cost,
@@ -13,7 +14,7 @@ from revsynth.cost import (
     synthesis_gate_bound,
     worst_case_qc,
 )
-from revsynth.gates import Circuit, cnot, not_gate, parse_circuit, toffoli
+from revsynth.gates import CACHE_SIZE, Circuit, cnot, not_gate, parse_circuit, toffoli
 
 ZERO = GarbagePolicy.ZERO
 ONE = GarbagePolicy.ONE
@@ -234,3 +235,32 @@ def test_cost_bounds_refuse_a_line_count_out_of_range_at_once(n):
             call()
     elapsed = time.perf_counter() - start
     assert elapsed < 0.5, f"refusing n = {n} took {elapsed:.2f} s"
+
+
+def test_one_gate_gets_a_row_per_policy():
+    g = toffoli(7, {0, 1, 2, 3, 4}, 6, {2})  # size 6, one negative control
+    cost._row.cache_clear()
+    rows = {policy: cost_report(Circuit(7, (g, g)), policy).rows for policy in GarbagePolicy}
+    assert rows == {ZERO: ((6, 1, 63),) * 2, ONE: ((6, 1, 58),) * 2, NM3: ((6, 1, 37),) * 2}
+    info = cost._row.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 3)
+    assert info.maxsize == CACHE_SIZE <= 4096
+
+
+def test_a_refused_policy_and_size_raise_on_every_call():
+    circuit = Circuit(3, (toffoli(3, {0, 1}, 2),))
+    cost._row.cache_clear()
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ValueError) as info:
+            cost_report(circuit, ONE)
+        messages.add(str(info.value))
+    assert messages == {"garbage policy '1' is defined only for gate size >= 5, got size 3"}
+    assert cost._row.cache_info().currsize == 0
+
+
+def test_cost_row_cache_is_bounded():
+    gates = [toffoli(13, {c for c in range(12) if mask >> c & 1}, 12) for mask in range(CACHE_SIZE + 300)]
+    report = cost_report(Circuit(13, tuple(gates)), ZERO)
+    assert report.rows[-1] == (gates[-1].size, 0, gate_cost(gates[-1], ZERO))
+    assert cost._row.cache_info().currsize <= CACHE_SIZE

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revsynth import gates
 from revsynth.gates import (
+    CACHE_SIZE,
     LINE_NAMES,
     Circuit,
     Gate,
@@ -23,7 +25,7 @@ from revsynth.gates import (
     parse_circuit,
     toffoli,
 )
-from revsynth.perm import TruthVector
+from revsynth.perm import TruthVector, check_lines, decimal
 
 # The eight-gate cascade that maps [7 4 1 0 3 2 6 5] to the identity,
 # exercised throughout this file (mixed polarities, all full control).
@@ -361,6 +363,8 @@ def test_parse_example_dialect():
         (".n 3\nt2 ,a,b\n", "t2 but 3 operands"),
         (".n 3\nt3 a,,b\n", "unknown line name ''"),
         (".n 3\nt0\n", "t0 but 1 operands"),
+        (".n 0\nt1 a\n", "^line 1: line count must be >= 1, got 0$"),  # perm.check_lines' wording
+        (".n 25\nt1 a\n", "^line 1: 25 lines exceeds the supported maximum 24$"),
     ],
 )
 def test_parse_rejections(bad, message):
@@ -384,6 +388,185 @@ def test_malformed_circuit_text_raises_only_value_error(header, pieces):
         parse_circuit(header + "".join(pieces))
     except ValueError:
         pass
+
+
+def _uncached_parse(text: str) -> Circuit:
+    """The parser as it was before gate lines were cached, kept here as the reference.
+
+    The one deliberate change: the header range is ``check_lines``' refusal.
+    """
+    n = None
+    parsed = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith(".n"):
+            if n is not None:
+                raise ValueError(f"line {lineno}: duplicate .n header")
+            try:
+                n = decimal(line[2:].strip())
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed .n header {line!r}") from None
+            try:
+                check_lines(n)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            continue
+        if n is None:
+            raise ValueError(f"line {lineno}: gate before .n header")
+        head, _, rest = line.partition(" ")
+        if not head.startswith("t"):
+            raise ValueError(f"line {lineno}: expected a t<size> gate, got {line!r}")
+        try:
+            size = decimal(head[1:])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed gate size in {head!r}") from None
+        operands = [op.strip() for op in rest.split(",")]
+        if size != len(operands):
+            raise ValueError(f"line {lineno}: gate size t{size} but {len(operands)} operands")
+        target_op = operands[-1]
+        if target_op.endswith("'"):
+            raise ValueError(f"line {lineno}: target {target_op!r} cannot be negated")
+        seen = vm = 0
+        for op in operands:
+            name = op.removesuffix("'")
+            if len(name) != 1 or name not in LINE_NAMES[:n]:
+                raise ValueError(f"line {lineno}: unknown line name {op!r}")
+            bit = 1 << LINE_NAMES.index(name)
+            if seen & bit:
+                raise ValueError(f"line {lineno}: duplicate operand {name!r}")
+            seen |= bit
+            if op == name:
+                vm |= bit
+        target = LINE_NAMES.index(target_op)
+        cm = seen & ~(1 << target)
+        parsed.append(Gate(n, target, cm, vm & cm))
+    if n is None:
+        raise ValueError("missing .n header")
+    return Circuit(n, tuple(parsed))
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def gate_line_texts(draw):
+    """A circuit text: a header, then gate lines with mixed polarities and padding,
+    broken gate lines, comments, blank lines and malformed pieces, some lines repeated."""
+    n = draw(st.integers(1, 24))
+    pad = st.sampled_from(("", " ", "  ", "\t"))
+
+    @st.composite
+    def gate_line(draw, broken: bool):
+        target = draw(st.integers(0, n - 1))
+        others = [c for c in range(n) if c != target]
+        controls = draw(st.lists(st.sampled_from(others), unique=True, max_size=6)) if others else []
+        ops = [LINE_NAMES[c] + draw(st.sampled_from(("", "'"))) for c in controls]
+        ops.append(LINE_NAMES[target])
+        size = len(ops)
+        if broken:
+            how = draw(st.sampled_from(("negated target", "foreign line", "repeat", "size")))
+            if how == "negated target":
+                ops[-1] += "'"
+            elif how == "foreign line":
+                ops.insert(0, LINE_NAMES[n] if n < 24 else "z")
+            elif how == "repeat":
+                ops.insert(0, ops[-1])
+            size += draw(st.sampled_from((-1, 1))) if how == "size" else len(ops) - size
+        return draw(pad) + f"t{size} " + ",".join(draw(pad) + op + draw(pad) for op in ops)
+
+    junk = st.lists(st.sampled_from(CIRCUIT_PIECES), min_size=1, max_size=6).map("".join)
+    comment = st.sampled_from(("#", "# a comment", "  # t2 a,b"))
+    pool = draw(st.lists(st.one_of(gate_line(False), gate_line(False), gate_line(True),
+                                   junk, comment, st.just("")), min_size=1, max_size=8))
+    body = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    header = draw(st.sampled_from((f".n {n}", f" .n {n} ", f".n {n}", f".n {n}", "")))
+    return "\n".join([header, *body, ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_line_texts())
+def test_cached_parse_matches_the_uncached_parser(text):
+    expected = _outcome(_uncached_parse, text)
+    gates._parse_gate.cache_clear()
+    assert _outcome(parse_circuit, text) == expected  # cold
+    assert _outcome(parse_circuit, text) == expected  # warm: every valid line is a hit
+
+
+def test_a_refused_line_names_each_line_it_is_on():
+    for text, lineno in ((".n 3\nt2 a,z\n", 2), (".n 3\nt1 a\n\nt2 a,z\n", 4), (".n 3\nt2 a,z\n", 2)):
+        with pytest.raises(ValueError) as info:
+            parse_circuit(text)
+        assert str(info.value) == f"line {lineno}: unknown line name 'z'"
+
+
+def test_a_cached_line_does_not_hide_an_error_after_it():
+    good = ".n 3\nt2 a,b\n"
+    assert parse_circuit(good).gates == (cnot(3, 0, 1),)
+    with pytest.raises(ValueError) as info:
+        parse_circuit(good + "t2 a,b'\n")
+    assert str(info.value) == "line 3: target \"b'\" cannot be negated"
+    with pytest.raises(ValueError) as info:
+        parse_circuit(good + ".n 4\n")
+    assert str(info.value) == "line 3: duplicate .n header"
+    assert parse_circuit(good) == Circuit(3, (cnot(3, 0, 1),))
+
+
+def test_a_line_is_cached_per_line_count():
+    assert parse_circuit(".n 3\nt2 a,c\n").gates == (cnot(3, 0, 2),)
+    assert parse_circuit(".n 4\nt2 a,c\n").gates == (cnot(4, 0, 2),)
+    with pytest.raises(ValueError) as info:
+        parse_circuit(".n 2\nt2 a,c\n")
+    assert str(info.value) == "line 2: unknown line name 'c'"
+
+
+def test_gate_line_cache_is_bounded():
+    assert gates._parse_gate.cache_info().maxsize == CACHE_SIZE <= 4096
+    rng = random.Random(11)
+    lines = set()
+    while len(lines) < CACHE_SIZE + 500:
+        t = rng.randrange(13)
+        cm = rng.randrange(1 << 13) & ~(1 << t)
+        lines.add(Gate(13, t, cm, rng.randrange(1 << 13) & cm).spec())
+    text = "\n".join([".n 13", *sorted(lines), ""])
+    assert len(parse_circuit(text)) == len(lines)
+    assert gates._parse_gate.cache_info().currsize <= CACHE_SIZE
+
+
+def test_a_refused_line_is_not_kept():
+    parse_circuit(".n 3\nt2 a,b\n")
+    before = gates._parse_gate.cache_info().currsize
+    for bad in ("t2 a,z", "t3 a,b", "x1 a", "t2 a,b'", "t2 a,a"):
+        with pytest.raises(ValueError):
+            parse_circuit(f".n 3\n{bad}\n")
+        assert gates._parse_gate.cache_info().currsize == before, bad
+
+
+def test_parsing_repeated_lines_is_fast():
+    # 30,000 lines drawn from 1,000 distinct ones, parsed from an empty cache
+    # each time.  Measured 15-35 ms against 160-280 ms when every line was
+    # parsed anew (CPython 3.11, 2-vCPU Xeon); the bound sits between.
+    rng = random.Random(12)
+    distinct = set()
+    while len(distinct) < 1000:
+        t = rng.randrange(12)
+        cm = rng.randrange(1 << 12) & ~(1 << t)
+        distinct.add(Gate(12, t, cm, rng.randrange(1 << 12) & cm).spec())
+    pool = sorted(distinct)
+    text = "\n".join([".n 12", *(rng.choice(pool) for _ in range(30000)), ""])
+    timings = []
+    for _ in range(3):
+        gates._parse_gate.cache_clear()
+        started = time.perf_counter()
+        circuit = parse_circuit(text)
+        timings.append(time.perf_counter() - started)
+    assert len(circuit) == 30000
+    assert min(timings) < 0.09, timings
 
 
 def test_apply_gate_preserves_bijection_exhaustive_small():
