@@ -8,6 +8,8 @@ tables over the Cayley graphs the two gate libraries induce on the
 symmetric group.
 """
 
+from types import ModuleType as _ModuleType  # private, or it would be in __all__
+
 from .cayley import (
     BfsResult,
     DistanceHistogram,
@@ -53,52 +55,17 @@ from .perm import TruthVector
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AncillaCircuit",
-    "AncillaMode",
-    "BfsResult",
-    "Circuit",
-    "CostReport",
-    "DistanceHistogram",
-    "Gate",
-    "GarbagePolicy",
-    "GeneratorSet",
-    "HammingAuditReport",
-    "QuantumGate",
-    "TruthVector",
-    "VerificationResult",
-    "bfs",
-    "build_unitary",
-    "circuit_cost",
-    "cost_report",
-    "distance",
-    "enumerate_ch",
-    "enumerate_ci",
-    "expand_circuit",
-    "expand_one_garbage",
-    "gate_cost",
-    "hamming_distance_audit",
-    "hc_bidirectional",
-    "hc_synthesize",
-    "ladder_borrowed",
-    "ladder_zeroed",
-    "max_gate_cost",
-    "mmd_synthesize",
-    "parse_circuit",
-    "split_one_borrowed",
-    "synthesis_gate_bound",
-    "toffoli",
-    "verify_circuit_equivalence",
-    "verify_elementary",
-    "verify_equivalence",
-    "worst_case_qc",
-    "x_root",
-]
+# The numpy-backed elementary checks, loaded on first use by ``__getattr__``.
+_LAZY = ("QuantumGate", "build_unitary", "verify_elementary", "x_root")
+
+# Every name imported above that is not a submodule, plus the lazy ones.
+__all__ = sorted([name for name, value in globals().items() if not name.startswith("_")
+                  and not isinstance(value, _ModuleType)] + list(_LAZY))
 
 
 def __getattr__(name: str):
     """The numpy-backed elementary checks load on first use (PEP 562)."""
-    if name in ("QuantumGate", "build_unitary", "verify_elementary", "x_root"):
+    if name in _LAZY:
         from . import elementary
 
         return getattr(elementary, name)

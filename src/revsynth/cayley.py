@@ -284,8 +284,7 @@ def load_dump(data: bytes) -> tuple[str, int, bytes]:
         raise ValueError("not a distance dump (bad magic)")
     n = data[8]
     label = chr(data[9])
-    if not 1 <= n <= BFS_MAX_LINES:
-        raise ValueError(f"line count {n} in dump header out of range [1, {BFS_MAX_LINES}]")
+    check_bfs_lines(n)
     if label not in LABELS:
         raise ValueError(f"bad generator label {label!r} in dump header")
     if any(data[10:16]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from collections import Counter
@@ -21,7 +22,7 @@ from .decompose import DECOMPOSE_STRATEGIES, expand_circuit, verify_circuit_equi
 from .gates import LABELS, GeneratorSet, parse_circuit
 from .hypercube import hc_bidirectional, hc_synthesize
 from .mmd import mmd_synthesize
-from .perm import TruthVector, all_truth_vectors
+from .perm import TruthVector
 
 # Each entry looks its synthesizer up in this module at call time, so replacing
 # ``cli.mmd_synthesize`` (a tracer, a test) replaces what synth and enumerate run.
@@ -82,7 +83,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     check_bfs_lines(args.n)  # enumeration visits every vertex of the BFS graph
     synthesize = SYNTHESIZERS[args.algo]
     histogram: Counter[int] = Counter()
-    for tv in all_truth_vectors(args.n):
+    for tv in map(TruthVector, itertools.permutations(range(1 << args.n))):  # in rank order
         histogram[len(synthesize(tv))] += 1
     total = sum(histogram.values())
     average = sum(k * v for k, v in histogram.items()) / total

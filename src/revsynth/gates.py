@@ -31,6 +31,9 @@ LINE_NAMES = "abcdefghijklmnopqrstuvwxyz"[:MAX_LINES]  # not string.ascii_lowerc
 
 ENUMERATE_MAX_LINES = 10
 CACHE_SIZE = 4096  # entries kept by each text-boundary cache (gate lines, cost rows); LRU past it
+# The longest gate line to_text writes, len(Gate(24, 23, 2**23 - 1).spec()): 24 operands, each
+# control negated.  A longer line is padded, and is parsed uncached so no padding is kept.
+CANONICAL_LINE_MAX = 74
 
 LABELS = ("I", "H")  # the two generator families, C_I and C_H
 
@@ -223,16 +226,6 @@ def toffoli(
     cm = sum(1 << c for c in controls)
     return Gate(n, target, cm, cm ^ sum(1 << c for c in negated))
 
-def not_gate(n: int, target: int) -> Gate:
-    return Gate(n, target)
-
-def cnot(n: int, control: int, target: int) -> Gate:
-    return toffoli(n, (control,), target)
-
-def mc_gate(n: int, target: int, negated: Iterable[int] = ()) -> Gate:
-    """Full-control gate: every non-target line controls, given ones on 0."""
-    return toffoli(n, (c for c in range(n) if c != target), target, negated)
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -253,11 +246,6 @@ class Circuit:
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if self.n != other.n:
-            raise ValueError(f"line counts differ: {self.n} != {other.n}")
-        return Circuit(self.n, self.gates + other.gates)
 
     def apply(self, tv: TruthVector) -> TruthVector:
         if tv.n != self.n:
@@ -303,7 +291,8 @@ def parse_circuit(text: str) -> Circuit:
             elif n is None:
                 raise ValueError("gate before .n header")
             else:
-                gates.append(_parse_gate(line, n))
+                parse = _parse_gate if len(line) <= CANONICAL_LINE_MAX else _parse_gate.__wrapped__
+                gates.append(parse(line, n))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
@@ -393,7 +382,9 @@ def enumerate_ch(n: int) -> GeneratorSet:
 @functools.cache
 def family_gate(label: str, n: int) -> Callable[[int, int], Gate]:
     """``gate(target, pattern)`` as :func:`_family_rule` builds it, but up to ENUMERATE_MAX_LINES
-    the cached set's shared member, at ``target << n-1`` plus the pattern less its target bit."""
+    the cached set's shared member, at ``target << n-1`` plus the pattern less its target bit.
+    The pattern must have the target bit clear, which that lookup does not check (a set bit
+    picks another member): both synthesizers build it so, and no outside input reaches here."""
     if n > ENUMERATE_MAX_LINES:  # the set cannot be enumerated: each call builds a gate
         return _family_rule(label, n)
     members = GeneratorSet(label, n).members

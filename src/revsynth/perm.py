@@ -8,7 +8,7 @@ significant bit; printed binary strings put the most significant bit first.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 MAX_LINES = 24
 
@@ -80,17 +80,12 @@ class TruthVector:
 
     # -- permutation algebra ----------------------------------------------
 
-    def __call__(self, x: int) -> int:
-        return self.entries[x]
-
     def compose(self, other: "TruthVector") -> "TruthVector":
         """Return h with h(i) = self(other(i)) (apply ``other`` first)."""
         if self.n != other.n:
             raise ValueError(f"line counts differ: {self.n} != {other.n}")
         mine = self.entries
         return TruthVector(mine[x] for x in other.entries)
-
-    __mul__ = compose
 
     def inverse(self) -> "TruthVector":
         return TruthVector(self.where)
@@ -188,11 +183,3 @@ def unrank_entries(r: int, k: int) -> list[int]:
     digits[0] = r
     remaining = list(range(k - 1, -1, -1))  # descending: the d-th smallest is at -1 - d
     return [remaining.pop(-1 - d) for d in digits]
-
-
-def all_truth_vectors(n: int) -> Iterable[TruthVector]:
-    """All (2^n)! permutations in lexicographic rank order."""
-    import itertools
-
-    for entries in itertools.permutations(range(1 << n)):
-        yield TruthVector(entries)

@@ -31,7 +31,7 @@ from revsynth.decompose import (
     verify_equivalence,
 )
 from revsynth.elementary import verify_elementary
-from revsynth.gates import Circuit, enumerate_ch, enumerate_ci, mc_gate, not_gate, parse_circuit, toffoli
+from revsynth.gates import Circuit, Gate, enumerate_ch, enumerate_ci, parse_circuit, toffoli
 from revsynth.hypercube import hc_synthesize
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector
@@ -117,7 +117,7 @@ def test_criterion_01_worked_example_replay():
     f = TruthVector([1, 0, 3, 2, 5, 7, 4, 6])
     circuit = mmd_synthesize(f)
     expected_emission = (
-        not_gate(3, 0),
+        Gate(3, 0),
         toffoli(3, [1, 2], 0),
         toffoli(3, [0, 2], 1),
         toffoli(3, [1, 2], 0),
@@ -127,7 +127,7 @@ def test_criterion_01_worked_example_replay():
         toffoli(3, [1, 2], 0),
         toffoli(3, [0, 2], 1),
         toffoli(3, [1, 2], 0),
-        not_gate(3, 0),
+        Gate(3, 0),
     )
     trace = []
     cur = f
@@ -306,7 +306,7 @@ def test_criterion_07_odd_cycle_and_bipartite_witnesses():
     walk_ok = all(step in library for step in steps)
     cur = vertices[0]
     for expected_next, step in zip(vertices[1:] + vertices[:1], steps):
-        cur = cur * step
+        cur = cur.compose(step)
         walk_ok = walk_ok and cur == expected_next
     closed_odd = cur == vertices[0] and len(steps) % 2 == 1
     i2 = bfs(enumerate_ci(2))
@@ -387,9 +387,8 @@ def test_criterion_09_decomposition_equivalence_sweep():
         cost_ok = cost_ok and circuit_cost(ladder.gates, ZERO)[1] == 10 * s - 25
         for _ in range(50):
             target = rng.randrange(s)
-            g = mc_gate(s, target, frozenset(
-                l for l in range(s) if l != target and rng.random() < 0.5
-            ))
+            others = [l for l in range(s) if l != target]
+            g = toffoli(s, others, target, [l for l in others if rng.random() < 0.5])
             lz = ladder_zeroed(g)
             assert len(lz.gates) == 2 * s - 5
             assert verify_equivalence(g, lz).equivalent

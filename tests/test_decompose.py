@@ -22,7 +22,7 @@ from revsynth.decompose import (
     verify_circuit_equivalence,
     verify_equivalence,
 )
-from revsynth.gates import Circuit, Gate, mc_gate, parse_circuit, toffoli
+from revsynth.gates import Circuit, Gate, parse_circuit, toffoli
 
 
 def numpy_fold(words: np.ndarray, gates) -> np.ndarray:
@@ -48,12 +48,17 @@ def numpy_verify(spec: Circuit, impl: AncillaCircuit) -> VerificationResult:
     return VerificationResult(False, len(words), int(words[int(np.argmin(ok))]))
 
 
+def full_control(n: int, target: int, negated=()) -> Gate:
+    """Every non-target line controls; those in ``negated`` fire on 0."""
+    return toffoli(n, (c for c in range(n) if c != target), target, negated)
+
+
 def random_full_gate(n: int, rng: random.Random) -> Gate:
     target = rng.randrange(n)
     negated = frozenset(
         l for l in range(n) if l != target and rng.random() < 0.5
     )
-    return mc_gate(n, target, negated)
+    return full_control(n, target, negated)
 
 
 def random_gate_with_free_line(n: int, rng: random.Random) -> Gate:
@@ -140,7 +145,7 @@ def test_split_matches_reference_instance():
 
 def test_split_needs_free_line():
     with pytest.raises(ValueError, match="free line"):
-        split_one_borrowed(mc_gate(6, 5))
+        split_one_borrowed(full_control(6, 5))
 
 
 def test_split_halves_sizes():
@@ -163,7 +168,7 @@ def test_expand_one_garbage_reaches_toffoli_size():
 
 
 def test_expand_one_garbage_full_control_adds_one_line():
-    g = mc_gate(6, 2, negated={0, 5})
+    g = full_control(6, 2, negated={0, 5})
     expansion = expand_one_garbage(g)
     assert expansion.ancilla_lines == 1
     assert all(x.size <= 3 for x in expansion.gates.gates)
@@ -235,12 +240,12 @@ def test_verify_rejects_mismatch_and_budget():
 
 
 def test_expansions_beyond_line_limit_name_the_ancilla():
-    wide = mc_gate(22, 21)
+    wide = full_control(22, 21)
     for expander in (ladder_zeroed, ladder_borrowed):
         with pytest.raises(ValueError, match="needs 19 ancilla lines, 41 in all; the limit is 24"):
             expander(wide)
     with pytest.raises(ValueError, match="needs 1 ancilla lines, 25 in all; the limit is 24"):
-        expand_one_garbage(mc_gate(24, 0))
+        expand_one_garbage(full_control(24, 0))
 
 
 def test_ancilla_circuit_validation():

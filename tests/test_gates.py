@@ -14,14 +14,11 @@ from revsynth.gates import (
     Circuit,
     Gate,
     GeneratorSet,
-    cnot,
     enumerate_ch,
     enumerate_ci,
     family_gate,
     fold_planes,
     input_planes,
-    mc_gate,
-    not_gate,
     parse_circuit,
     toffoli,
 )
@@ -128,18 +125,18 @@ def test_gate_equals_only_gates():
 
 
 def test_not_gate_single_line():
-    assert tuple(_perm(not_gate(1, 0))) == (1, 0)
+    assert tuple(_perm(Gate(1, 0))) == (1, 0)
 
 
 def test_not_gate_most_significant_line():
-    assert tuple(_perm(not_gate(2, 1))) == (2, 3, 0, 1)
+    assert tuple(_perm(Gate(2, 1))) == (2, 3, 0, 1)
 
 
 def test_cnot_placements():
     # control on line 1 (b) targeting line 0 (a) swaps values 2 and 3;
     # control on line 0 targeting line 1 swaps values 1 and 3.
-    assert tuple(_perm(cnot(2, 1, 0))) == (0, 1, 3, 2)
-    assert tuple(_perm(cnot(2, 0, 1))) == (0, 3, 2, 1)
+    assert tuple(_perm(toffoli(2, {1}, 0))) == (0, 1, 3, 2)
+    assert tuple(_perm(toffoli(2, {0}, 1))) == (0, 3, 2, 1)
 
 
 def test_full_control_step_gate():
@@ -164,12 +161,12 @@ def test_gate_perm_matches_identity_application():
 def test_apply_gate_equals_left_composition():
     g = toffoli(3, {0}, 2, {0})
     tv = TruthVector([5, 2, 7, 4, 1, 6, 3, 0])
-    assert _apply(g, tv) == _perm(g) * tv
+    assert _apply(g, tv) == _perm(g).compose(tv)
 
 
 def test_apply_gate_line_mismatch():
     with pytest.raises(ValueError):
-        Circuit(2, (not_gate(2, 0),)).apply(TruthVector.identity(3))
+        Circuit(2, (Gate(2, 0),)).apply(TruthVector.identity(3))
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 12), (4, 32), (5, 80), (6, 192)])
@@ -231,7 +228,7 @@ def test_generator_perms_distinct_involutions(label, n):
     assert len(set(perms)) == len(perms)
     ident = TruthVector.identity(n)
     for p in perms:
-        assert p * p == ident
+        assert p.compose(p) == ident
 
 
 def test_every_ch_member_swaps_one_value_pair():
@@ -304,7 +301,7 @@ def test_invert_circuit_round_trip():
 
 
 def test_invert_reverses_gate_order():
-    g1, g2 = not_gate(2, 0), cnot(2, 0, 1)
+    g1, g2 = Gate(2, 0), toffoli(2, {0}, 1)
     c = Circuit(2, (g1, g2))
     assert c.inverse().gates == (g2, g1)
     assert Circuit(2).inverse().gates == ()
@@ -324,7 +321,7 @@ def test_circuit_refuses_line_count_out_of_range(n, message):
 
 def test_circuit_rejects_foreign_gate():
     with pytest.raises(ValueError):
-        Circuit(3, (not_gate(2, 0),))
+        Circuit(3, (Gate(2, 0),))
 
 
 def test_circuit_text_round_trip():
@@ -338,7 +335,7 @@ def test_parse_example_dialect():
     assert c.n == 3
     assert c.gates[0] == toffoli(3, [1, 2], 0)
     assert c.gates[1] == toffoli(3, {0}, 1, {0})
-    assert c.gates[2] == not_gate(3, 2)
+    assert c.gates[2] == Gate(3, 2)
 
 
 @pytest.mark.parametrize(
@@ -507,19 +504,19 @@ def test_a_refused_line_names_each_line_it_is_on():
 
 def test_a_cached_line_does_not_hide_an_error_after_it():
     good = ".n 3\nt2 a,b\n"
-    assert parse_circuit(good).gates == (cnot(3, 0, 1),)
+    assert parse_circuit(good).gates == (toffoli(3, {0}, 1),)
     with pytest.raises(ValueError) as info:
         parse_circuit(good + "t2 a,b'\n")
     assert str(info.value) == "line 3: target \"b'\" cannot be negated"
     with pytest.raises(ValueError) as info:
         parse_circuit(good + ".n 4\n")
     assert str(info.value) == "line 3: duplicate .n header"
-    assert parse_circuit(good) == Circuit(3, (cnot(3, 0, 1),))
+    assert parse_circuit(good) == Circuit(3, (toffoli(3, {0}, 1),))
 
 
 def test_a_line_is_cached_per_line_count():
-    assert parse_circuit(".n 3\nt2 a,c\n").gates == (cnot(3, 0, 2),)
-    assert parse_circuit(".n 4\nt2 a,c\n").gates == (cnot(4, 0, 2),)
+    assert parse_circuit(".n 3\nt2 a,c\n").gates == (toffoli(3, {0}, 2),)
+    assert parse_circuit(".n 4\nt2 a,c\n").gates == (toffoli(4, {0}, 2),)
     with pytest.raises(ValueError) as info:
         parse_circuit(".n 2\nt2 a,c\n")
     assert str(info.value) == "line 2: unknown line name 'c'"
@@ -545,6 +542,22 @@ def test_a_refused_line_is_not_kept():
         with pytest.raises(ValueError):
             parse_circuit(f".n 3\n{bad}\n")
         assert gates._parse_gate.cache_info().currsize == before, bad
+
+
+def test_a_padded_line_is_parsed_but_not_kept():
+    # Padding is legal, and a cache entry keeps its whole line: a line longer
+    # than any to_text writes is parsed uncached, to the same gate or refusal.
+    widest = Gate(24, 23, (1 << 23) - 1)  # every control negated
+    assert len(widest.spec()) == gates.CANONICAL_LINE_MAX
+    gates._parse_gate.cache_clear()
+    padded = "t2 a" + " " * 10000 + ",b"
+    assert parse_circuit(f".n 2\n{padded}\n").gates == (toffoli(2, {0}, 1),)
+    with pytest.raises(ValueError) as info:
+        parse_circuit(f".n 2\n{padded[:-1]}a\n")
+    assert str(info.value) == "line 2: duplicate operand 'a'"
+    assert gates._parse_gate.cache_info().currsize == 0
+    assert parse_circuit(f".n 24\n{widest.spec()}\n").gates == (widest,)
+    assert gates._parse_gate.cache_info().currsize == 1
 
 
 def test_parsing_repeated_lines_is_fast():
@@ -579,7 +592,7 @@ def test_apply_gate_preserves_bijection_exhaustive_small():
 
 
 def test_mc_gate_helper():
-    g = mc_gate(4, 2, negated={0})
+    g = toffoli(4, {0, 1, 3}, 2, negated={0})  # full control: every non-target line
     assert g.controls == frozenset({0, 1, 3})
     assert g.negated == frozenset({0})
     assert g.is_mc_toffoli()

@@ -53,16 +53,32 @@ def test_bfs_loads_numpy_on_first_use():
     assert lines[0] == "generator set: I, lines: 2" and lines[-1] == "True"
 
 
+# The package's public names; ``__all__`` is derived from its imports, so this
+# pins what a new import (a helper module, ``types.ModuleType``) would add.
+PUBLIC_NAMES = [
+    "AncillaCircuit", "AncillaMode", "BfsResult", "Circuit", "CostReport",
+    "DistanceHistogram", "GarbagePolicy", "Gate", "GeneratorSet", "HammingAuditReport",
+    "QuantumGate", "TruthVector", "VerificationResult", "bfs", "build_unitary",
+    "circuit_cost", "cost_report", "distance", "enumerate_ch", "enumerate_ci",
+    "expand_circuit", "expand_one_garbage", "gate_cost", "hamming_distance_audit",
+    "hc_bidirectional", "hc_synthesize", "ladder_borrowed", "ladder_zeroed",
+    "max_gate_cost", "mmd_synthesize", "parse_circuit", "split_one_borrowed",
+    "synthesis_gate_bound", "toffoli", "verify_circuit_equivalence", "verify_elementary",
+    "verify_equivalence", "worst_case_qc", "x_root",
+]
+
+
 def test_every_public_name_resolves():
     lines = run_python(
-        "import json, revsynth\n"
+        "import json, revsynth, types\n"
         "from revsynth import elementary\n"
         "missing = [name for name in revsynth.__all__ if not hasattr(revsynth, name)]\n"
+        "modules = [n for n in revsynth.__all__ if isinstance(getattr(revsynth, n), types.ModuleType)]\n"
         "star = {}\n"
         "exec('from revsynth import *', star)\n"
         "lazy = ['QuantumGate', 'build_unitary', 'verify_elementary', 'x_root']\n"
         "same = all(getattr(revsynth, n) is getattr(elementary, n) for n in lazy)\n"
         "print(json.dumps([missing, sorted(set(revsynth.__all__) - set(star)), same,\n"
-        "                  hasattr(revsynth, 'no_such_name')]))"
+        "                  hasattr(revsynth, 'no_such_name'), sorted(revsynth.__all__), modules]))"
     )
-    assert json.loads(lines[-1]) == [[], [], True, False]
+    assert json.loads(lines[-1]) == [[], [], True, False, sorted(PUBLIC_NAMES), []]

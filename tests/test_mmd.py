@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revsynth.gates import Circuit, not_gate, toffoli
+from revsynth.gates import Circuit, Gate, toffoli
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector
 
@@ -34,7 +34,7 @@ def replay(f: TruthVector, circuit: Circuit) -> list[list[int]]:
 def test_worked_example_gates():
     circuit = mmd_synthesize(TruthVector(WORKED_INPUT))
     assert circuit.gates == (
-        not_gate(3, 0),
+        Gate(3, 0),
         toffoli(3, [1, 2], 0),
         toffoli(3, [0, 2], 1),
         toffoli(3, [1, 2], 0),
