@@ -33,12 +33,8 @@ from .decompose import (
     AncillaMode,
     VerificationResult,
     expand_circuit,
-    expand_one_garbage,
-    ladder_borrowed,
-    ladder_zeroed,
     split_one_borrowed,
     verify_circuit_equivalence,
-    verify_equivalence,
 )
 from .gates import (
     Circuit,

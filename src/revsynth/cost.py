@@ -26,6 +26,8 @@ class GarbagePolicy(enum.Enum):
     ONE = "1"
     N_MINUS_THREE = "n-3"
 
+    __hash__ = object.__hash__  # singletons compared by identity: skip Enum's name hash
+
 
 def gate_cost(g: Gate, policy: GarbagePolicy = GarbagePolicy.ZERO) -> int:
     """Quantum cost of one gate under the given garbage policy."""

@@ -75,10 +75,11 @@ def _chain(g: Gate, total: int, helpers) -> tuple[list[Gate], Gate]:
     The links AND the two lowest controls into ``helpers[0]``, then
     ``helpers[k - 1]`` with sorted control ``k + 1`` into ``helpers[k]``;
     the fire gate flips the target from the last helper and the last
-    control.  Uses len(g.controls) - 2 helpers.
+    control.  Uses the first len(g.controls) - 2 lines of ``helpers``.
     """
     xs = sorted(g.controls)
     vm = g.value_mask
+    helpers = helpers[:len(xs) - 2]
 
     def link(target: int, helper_bits: int, control_bits: int) -> Gate:
         # helper controls fire on 1; g's own controls keep g's polarity
@@ -92,36 +93,21 @@ def _chain(g: Gate, total: int, helpers) -> tuple[list[Gate], Gate]:
     return links, fire
 
 
-def ladder_zeroed(g: Gate) -> AncillaCircuit:
-    """Zeroed-ancilla chain expansion of a size >= 4 gate: 2s - 5 gates."""
-    s = g.size
-    if s < 4:
-        raise ValueError(f"zeroed ladder needs gate size >= 4, got {s}")
-    total = _widened(g, s - 3)
+def _zeroed_ladder(g: Gate, total: int) -> list[Gate]:
+    """Zeroed-ancilla chain of ``g`` over the helpers from line ``g.n``: 2s - 5 gates."""
     links, fire = _chain(g, total, range(g.n, total))
-    gates = links + [fire] + links[::-1]
-    return AncillaCircuit(g.n, s - 3, AncillaMode.ZEROED_RESTORED, Circuit(total, gates))
+    return links + [fire] + links[::-1]
 
 
 def _borrowed_network(g: Gate, total: int, helpers) -> list[Gate]:
     """Doubled-V borrowed-bit network realizing ``g`` over ``total`` lines.
 
-    ``helpers`` are len(g.controls) - 2 lines with arbitrary contents, all
-    restored: fire, chain down to ``helpers[0]`` and back up, twice.  Works
-    from 3 controls up (one borrowed line).
+    The first len(g.controls) - 2 ``helpers`` are lines with arbitrary
+    contents, all restored: fire, chain down to ``helpers[0]`` and back up,
+    twice.  Works from 3 controls up (one borrowed line): 4(s - 3) gates.
     """
     links, fire = _chain(g, total, helpers)
     return ([fire] + links[:0:-1] + links) * 2
-
-
-def ladder_borrowed(g: Gate) -> AncillaCircuit:
-    """Borrowed-ancilla expansion of a size >= 5 gate: 4(s - 3) gates."""
-    s = g.size
-    if s < 5:
-        raise ValueError(f"borrowed ladder needs gate size >= 5, got {s}")
-    total = _widened(g, s - 3)
-    gates = _borrowed_network(g, total, range(g.n, total))
-    return AncillaCircuit(g.n, s - 3, AncillaMode.BORROWED_RESTORED, Circuit(total, gates))
 
 
 def _free_lines(g: Gate) -> list[int]:
@@ -153,33 +139,24 @@ def split_one_borrowed(g: Gate) -> tuple[Gate, Gate, Gate, Gate]:
     return (g1, g2, g1, g2)
 
 
-def expand_one_garbage(g: Gate) -> AncillaCircuit:
+def _one_garbage(g: Gate, total: int) -> list[Gate]:
     """Full expansion of a size >= 5 gate to size <= 3 gates with one garbage.
 
     The gate is first split through a borrowed line (an unused principal line
-    when one exists, otherwise a single added ancilla), then each oversized
-    half is expanded by the borrowed-bit network using lines the half does
-    not touch.
+    when one exists, otherwise the one added ancilla), then each oversized
+    half is expanded by the borrowed-bit network on the lowest lines the half
+    does not touch.  A half of size k needs k - 3 such lines, and 2k - 3 is
+    at most s + 1 <= ``total``, so there are always enough; and a gate that
+    leaves a principal line free never borrows a line past its own, so the
+    expansion is the same at any ``total`` >= n.
     """
-    s = g.size
-    if s < 5:
-        raise ValueError(f"one-garbage expansion needs gate size >= 5, got {s}")
-    total = _widened(g, 0 if s < g.n else 1)
-    lifted = Gate(total, g.target, g.control_mask, g.value_mask)
-    sequence: list[Gate] = []
-    for sub in split_one_borrowed(lifted):
+    halves: list[Gate] = []
+    for sub in split_one_borrowed(Gate(total, g.target, g.control_mask, g.value_mask))[:2]:
         if sub.size <= 3:
-            sequence.append(sub)
-            continue
-        pool = _free_lines(sub)
-        need = sub.size - 3
-        if len(pool) < need:
-            raise ValueError(
-                f"sub-gate of size {sub.size} needs {need} borrowed lines, "
-                f"only {len(pool)} free"
-            )
-        sequence.extend(_borrowed_network(sub, total, pool[:need]))
-    return AncillaCircuit(g.n, total - g.n, AncillaMode.BORROWED_RESTORED, Circuit(total, sequence))
+            halves.append(sub)
+        else:
+            halves.extend(_borrowed_network(sub, total, _free_lines(sub)))
+    return halves * 2  # the split's G1 G2 G1 G2, each half built once
 
 
 @dataclass(frozen=True)
@@ -190,11 +167,6 @@ class VerificationResult:
 
     def __bool__(self) -> bool:
         return self.equivalent
-
-
-def verify_equivalence(spec: Gate, impl: AncillaCircuit) -> VerificationResult:
-    """:func:`verify_circuit_equivalence` against the one-gate circuit ``spec``."""
-    return verify_circuit_equivalence(Circuit(spec.n, (spec,)), impl)
 
 
 def verify_circuit_equivalence(spec: Circuit, impl: AncillaCircuit) -> VerificationResult:
@@ -230,10 +202,12 @@ def verify_circuit_equivalence(spec: Circuit, impl: AncillaCircuit) -> Verificat
 
 
 _STRATEGIES = {
-    "zeroed": (ladder_zeroed, 4, AncillaMode.ZEROED_RESTORED),
-    "borrowed": (ladder_borrowed, 5, AncillaMode.BORROWED_RESTORED),
-    "one-garbage": (expand_one_garbage, 5, AncillaMode.BORROWED_RESTORED),
-}  # name -> (expander, smallest gate size it expands, ancilla mode)
+    "zeroed": (_zeroed_ladder, 4, AncillaMode.ZEROED_RESTORED, lambda g: g.size - 3),
+    "borrowed": (lambda g, total: _borrowed_network(g, total, range(g.n, total)), 5,
+                 AncillaMode.BORROWED_RESTORED, lambda g: g.size - 3),
+    "one-garbage": (_one_garbage, 5, AncillaMode.BORROWED_RESTORED,
+                    lambda g: 0 if g.size < g.n else 1),
+}  # name -> (network builder (g, total lines), smallest gate size, ancilla mode, helpers added)
 
 DECOMPOSE_STRATEGIES = tuple(_STRATEGIES)
 
@@ -241,23 +215,23 @@ DECOMPOSE_STRATEGIES = tuple(_STRATEGIES)
 def expand_circuit(circuit: Circuit, strategy: str) -> AncillaCircuit:
     """Expand every oversized gate of a circuit with one shared ancilla pool.
 
-    Gates already small enough for the strategy pass through unchanged.
-    All expansions restore their helpers, so consecutive gates reuse the
-    same pool.
+    The pool is as wide as the largest helper count any gate needs; each
+    oversized gate's network is built at that width, and gates already small
+    enough for the strategy pass through, lifted to it.  All expansions
+    restore their helpers, so consecutive gates reuse the same pool.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(
             f"unknown strategy {strategy!r} (expected one of {', '.join(DECOMPOSE_STRATEGIES)})"
         )
-    expander, min_size, mode = _STRATEGIES[strategy]
-    pieces = [
-        expander(g).gates if g.size >= min_size else Circuit(circuit.n, (g,))
-        for g in circuit.gates
-    ]
-    total = max((piece.n for piece in pieces), default=circuit.n)
-    gates = [
-        Gate(total, g.target, g.control_mask, g.value_mask)
-        for piece in pieces
-        for g in piece.gates
-    ]
+    build, min_size, mode, helpers = _STRATEGIES[strategy]
+    total = max(
+        [_widened(g, helpers(g)) for g in circuit.gates if g.size >= min_size], default=circuit.n
+    )
+    gates: list[Gate] = []
+    for g in circuit.gates:
+        if g.size >= min_size:
+            gates += build(g, total)
+        else:
+            gates.append(Gate(total, g.target, g.control_mask, g.value_mask))
     return AncillaCircuit(circuit.n, total - circuit.n, mode, Circuit(total, gates))

@@ -349,7 +349,7 @@ class GeneratorSet:
 
     def __post_init__(self):
         n = self.n
-        if not 1 <= n <= ENUMERATE_MAX_LINES:
+        if n > ENUMERATE_MAX_LINES:  # n < 1 is refused by check_lines, before the label
             raise ValueError(f"line count {n} out of range [1, {ENUMERATE_MAX_LINES}]")
         rule = _family_rule(self.label, n)  # target t, then each (n-1)-bit s with a 0 put in at t
         object.__setattr__(self, "members", tuple(rule(t, s & (1 << t) - 1 | s >> t << t + 1)

@@ -24,11 +24,9 @@ from revsynth.cost import GarbagePolicy, circuit_cost, cost_of, worst_case_qc
 from revsynth.decompose import (
     AncillaCircuit,
     AncillaMode,
-    expand_one_garbage,
-    ladder_borrowed,
-    ladder_zeroed,
+    expand_circuit,
     split_one_borrowed,
-    verify_equivalence,
+    verify_circuit_equivalence,
 )
 from revsynth.elementary import verify_elementary
 from revsynth.gates import Circuit, Gate, enumerate_ch, enumerate_ci, parse_circuit, toffoli
@@ -376,27 +374,33 @@ def test_criterion_08_synthesis_property_suite(s8_sweep):
 
 
 def test_criterion_09_decomposition_equivalence_sweep():
+    def expand(g, strategy):
+        return expand_circuit(Circuit(g.n, (g,)), strategy)
+
+    def verify(g, impl):
+        return verify_circuit_equivalence(Circuit(g.n, (g,)), impl)
+
     started = time.perf_counter()
     rng = random.Random(900)
     counts_ok = True
     cost_ok = True
     for s in range(4, 11):
         positive = toffoli(s, range(s - 1), s - 1)
-        ladder = ladder_zeroed(positive)
+        ladder = expand(positive, "zeroed")
         counts_ok = counts_ok and len(ladder.gates) == 2 * s - 5
         cost_ok = cost_ok and circuit_cost(ladder.gates, ZERO)[1] == 10 * s - 25
         for _ in range(50):
             target = rng.randrange(s)
             others = [l for l in range(s) if l != target]
             g = toffoli(s, others, target, [l for l in others if rng.random() < 0.5])
-            lz = ladder_zeroed(g)
+            lz = expand(g, "zeroed")
             assert len(lz.gates) == 2 * s - 5
-            assert verify_equivalence(g, lz).equivalent
+            assert verify(g, lz).equivalent
             if s >= 5:
-                lb = ladder_borrowed(g)
+                lb = expand(g, "borrowed")
                 assert len(lb.gates) == 4 * (s - 3)
-                assert verify_equivalence(g, lb).equivalent
-                assert verify_equivalence(g, expand_one_garbage(g)).equivalent
+                assert verify(g, lb).equivalent
+                assert verify(g, expand(g, "one-garbage")).equivalent
                 target2, free = rng.sample(range(s + 1), 2)
                 controls = frozenset(range(s + 1)) - {target2, free}
                 gf = toffoli(s + 1, controls, target2, (
@@ -406,10 +410,10 @@ def test_criterion_09_decomposition_equivalence_sweep():
                 impl = AncillaCircuit(
                     s + 1, 0, AncillaMode.BORROWED_RESTORED, Circuit(s + 1, quad)
                 )
-                assert verify_equivalence(gf, impl).equivalent
-                eg = expand_one_garbage(gf)
+                assert verify(gf, impl).equivalent
+                eg = expand(gf, "one-garbage")
                 assert all(x.size <= 3 for x in eg.gates.gates)
-                assert verify_equivalence(gf, eg).equivalent
+                assert verify(gf, eg).equivalent
     elapsed = time.perf_counter() - started
     ok = counts_ok and cost_ok and elapsed < 120.0
     report(9, ok, f"sizes 4..10, 50 patterns each, exhaustive; {elapsed:.1f}s")

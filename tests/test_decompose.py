@@ -15,14 +15,20 @@ from revsynth.decompose import (
     AncillaMode,
     VerificationResult,
     expand_circuit,
-    expand_one_garbage,
-    ladder_borrowed,
-    ladder_zeroed,
     split_one_borrowed,
     verify_circuit_equivalence,
-    verify_equivalence,
 )
 from revsynth.gates import Circuit, Gate, parse_circuit, toffoli
+
+
+def expand(g: Gate, strategy: str) -> AncillaCircuit:
+    """One gate's expansion: its one-gate circuit through expand_circuit."""
+    return expand_circuit(Circuit(g.n, (g,)), strategy)
+
+
+def verify(g: Gate, impl: AncillaCircuit) -> VerificationResult:
+    """verify_circuit_equivalence against the one-gate circuit ``g``."""
+    return verify_circuit_equivalence(Circuit(g.n, (g,)), impl)
 
 
 def numpy_fold(words: np.ndarray, gates) -> np.ndarray:
@@ -71,7 +77,7 @@ def random_gate_with_free_line(n: int, rng: random.Random) -> Gate:
 def test_zeroed_ladder_matches_reference_instance():
     # size-6 gate, controls a+ b- c- d- e-, target f; three zeroed helpers
     g = toffoli(6, range(5), 5, {1, 2, 3, 4})
-    ladder = ladder_zeroed(g)
+    ladder = expand(g, "zeroed")
     assert ladder.ancilla_lines == 3
     assert ladder.ancilla_mode is AncillaMode.ZEROED_RESTORED
     assert [x.spec() for x in ladder.gates.gates] == [
@@ -83,13 +89,13 @@ def test_zeroed_ladder_matches_reference_instance():
         "t3 c',g,h",
         "t3 a,b',g",
     ]
-    assert verify_equivalence(g, ladder).equivalent
+    assert verify(g, ladder).equivalent
 
 
 def test_zeroed_ladder_all_positive_cost_is_linear():
     for s in (4, 6, 8, 10):
         g = toffoli(s, range(s - 1), s - 1)
-        ladder = ladder_zeroed(g)
+        ladder = expand(g, "zeroed")
         assert len(ladder.gates) == 2 * s - 5
         gc, qc = circuit_cost(ladder.gates, GarbagePolicy.ZERO)
         assert qc == 10 * s - 25
@@ -97,13 +103,16 @@ def test_zeroed_ladder_all_positive_cost_is_linear():
 
 
 def test_zeroed_ladder_size_floor():
-    with pytest.raises(ValueError, match="size >= 4"):
-        ladder_zeroed(toffoli(3, {0, 1}, 2))
+    """A gate below the zeroed floor passes through, with no ancilla."""
+    g = toffoli(3, {0, 1}, 2)
+    assert expand(g, "zeroed") == AncillaCircuit(
+        3, 0, AncillaMode.ZEROED_RESTORED, Circuit(3, (g,))
+    )
 
 
 def test_borrowed_ladder_matches_reference_instance():
     g = toffoli(6, range(5), 5, {1, 2, 3, 4})
-    network = ladder_borrowed(g)
+    network = expand(g, "borrowed")
     assert network.ancilla_lines == 3
     assert network.ancilla_mode is AncillaMode.BORROWED_RESTORED
     assert [x.spec() for x in network.gates.gates] == [
@@ -120,14 +129,18 @@ def test_borrowed_ladder_matches_reference_instance():
         "t3 c',g,h",
         "t3 d',h,i",
     ]
-    outcome = verify_equivalence(g, network)
+    outcome = verify(g, network)
     assert outcome.equivalent
     assert outcome.inputs_checked == 1 << 9  # helpers take all values
 
 
 def test_borrowed_ladder_size_floor():
-    with pytest.raises(ValueError, match="size >= 5"):
-        ladder_borrowed(toffoli(4, {0, 1, 2}, 3))
+    """A gate below the borrowed and one-garbage floor passes through, with no ancilla."""
+    g = toffoli(4, {0, 1, 2}, 3)
+    for strategy in ("borrowed", "one-garbage"):
+        assert expand(g, strategy) == AncillaCircuit(
+            4, 0, AncillaMode.BORROWED_RESTORED, Circuit(4, (g,))
+        )
 
 
 def test_split_matches_reference_instance():
@@ -140,7 +153,7 @@ def test_split_matches_reference_instance():
     impl = AncillaCircuit(
         9, 0, AncillaMode.BORROWED_RESTORED, Circuit(9, (g1, g2, g3, g4))
     )
-    assert verify_equivalence(g, impl).equivalent
+    assert verify(g, impl).equivalent
 
 
 def test_split_needs_free_line():
@@ -159,25 +172,25 @@ def test_split_halves_sizes():
 
 def test_expand_one_garbage_reaches_toffoli_size():
     g = toffoli(9, range(7), 8, {1, 2, 3, 4, 5, 6})
-    expansion = expand_one_garbage(g)
+    expansion = expand(g, "one-garbage")
     assert expansion.ancilla_lines == 0  # reuses the free principal line
     assert all(x.size <= 3 for x in expansion.gates.gates)
-    outcome = verify_equivalence(g, expansion)
+    outcome = verify(g, expansion)
     assert outcome.equivalent
     assert outcome.inputs_checked == 1 << 9
 
 
 def test_expand_one_garbage_full_control_adds_one_line():
     g = full_control(6, 2, negated={0, 5})
-    expansion = expand_one_garbage(g)
+    expansion = expand(g, "one-garbage")
     assert expansion.ancilla_lines == 1
     assert all(x.size <= 3 for x in expansion.gates.gates)
-    assert verify_equivalence(g, expansion).equivalent
+    assert verify(g, expansion).equivalent
 
 
 def test_expansions_leave_non_matching_inputs_alone():
     g = toffoli(5, range(4), 4, {1})
-    ladder = ladder_zeroed(g)
+    ladder = expand(g, "zeroed")
     words = np.arange(1 << 5, dtype=np.uint32)
     idle = words[numpy_fold(words, (g,)) == words]
     assert len(idle) == 30
@@ -186,14 +199,14 @@ def test_expansions_leave_non_matching_inputs_alone():
 
 def test_mutated_network_fails_with_counterexample():
     g = toffoli(6, range(5), 5, {2})
-    ladder = ladder_zeroed(g)
+    ladder = expand(g, "zeroed")
     broken = AncillaCircuit(
         ladder.principal_lines,
         ladder.ancilla_lines,
         ladder.ancilla_mode,
         Circuit(ladder.gates.n, ladder.gates.gates[:-1]),
     )
-    outcome = verify_equivalence(g, broken)
+    outcome = verify(g, broken)
     assert not outcome.equivalent
     assert outcome.counterexample is not None
     # replay the counterexample: the broken network must truly disagree
@@ -207,7 +220,7 @@ def test_mutated_network_fails_with_counterexample():
 def test_single_gate_passthrough_verifies():
     g = toffoli(2, {0}, 1)
     impl = AncillaCircuit(2, 0, AncillaMode.ZEROED_RESTORED, Circuit(2, (g,)))
-    assert verify_equivalence(g, impl).equivalent
+    assert verify(g, impl).equivalent
 
 
 @pytest.mark.parametrize("size", range(4, 11))
@@ -215,37 +228,45 @@ def test_randomized_polarities_all_strategies(size):
     rng = random.Random(600 + size)
     for _ in range(8):
         g = random_full_gate(size, rng)
-        ladder = ladder_zeroed(g)
+        ladder = expand(g, "zeroed")
         assert len(ladder.gates) == 2 * size - 5
-        assert verify_equivalence(g, ladder).equivalent
+        assert verify(g, ladder).equivalent
         if size >= 5:
-            network = ladder_borrowed(g)
+            network = expand(g, "borrowed")
             assert len(network.gates) == 4 * (size - 3)
-            assert verify_equivalence(g, network).equivalent
-            assert verify_equivalence(g, expand_one_garbage(g)).equivalent
+            assert verify(g, network).equivalent
+            assert verify(g, expand(g, "one-garbage")).equivalent
             gf = random_gate_with_free_line(size + 1, rng)
             quad = Circuit(size + 1, split_one_borrowed(gf))
             impl = AncillaCircuit(size + 1, 0, AncillaMode.BORROWED_RESTORED, quad)
-            assert verify_equivalence(gf, impl).equivalent
+            assert verify(gf, impl).equivalent
 
 
 def test_verify_rejects_mismatch_and_budget():
     g = toffoli(4, {0, 1, 2}, 3)
-    ladder = ladder_zeroed(g)
+    ladder = expand(g, "zeroed")
     with pytest.raises(ValueError, match="lines"):
-        verify_equivalence(toffoli(5, {0, 1, 2, 3}, 4), ladder)
+        verify(toffoli(5, {0, 1, 2, 3}, 4), ladder)
     wide = AncillaCircuit(20, 3, AncillaMode.BORROWED_RESTORED, Circuit(23))
     with pytest.raises(ValueError, match="budget"):
-        verify_equivalence(toffoli(20, range(1, 20), 0), wide)
+        verify(toffoli(20, range(1, 20), 0), wide)
 
 
 def test_expansions_beyond_line_limit_name_the_ancilla():
     wide = full_control(22, 21)
-    for expander in (ladder_zeroed, ladder_borrowed):
+    # the wide gate comes after one that fits: the refusal is the pool's, raised
+    # before any network is built
+    circuit = Circuit(22, (toffoli(22, range(4), 21), wide))
+    for strategy in ("zeroed", "borrowed"):
         with pytest.raises(ValueError, match="needs 19 ancilla lines, 41 in all; the limit is 24"):
-            expander(wide)
+            expand(wide, strategy)
+        with pytest.raises(ValueError, match="size-22 gate on 22 lines needs 19 ancilla lines"):
+            expand_circuit(circuit, strategy)
     with pytest.raises(ValueError, match="needs 1 ancilla lines, 25 in all; the limit is 24"):
-        expand_one_garbage(full_control(24, 0))
+        expand(full_control(24, 0), "one-garbage")
+    later = Circuit(24, (toffoli(24, range(5), 23), full_control(24, 0)))
+    with pytest.raises(ValueError, match="size-24 gate on 24 lines needs 1 ancilla lines, 25"):
+        expand_circuit(later, "one-garbage")
 
 
 def test_ancilla_circuit_validation():
@@ -305,18 +326,18 @@ def test_verify_fewer_than_eight_words(n, first):
 
 def test_zeroed_mode_checks_ancilla_planes_against_zero():
     g = toffoli(5, range(4), 4, {1})  # fires on a=1, b=0, c=1, d=1
-    ladder = ladder_zeroed(g)  # two zeroed helpers, lines 5 and 6
-    assert verify_equivalence(g, ladder) == VerificationResult(True, 1 << 5)
+    ladder = expand(g, "zeroed")  # two zeroed helpers, lines 5 and 6
+    assert verify(g, ladder) == VerificationResult(True, 1 << 5)
 
     def zeroed(gates) -> AncillaCircuit:
         return AncillaCircuit(5, 2, AncillaMode.ZEROED_RESTORED, Circuit(7, gates))
 
-    assert verify_equivalence(g, zeroed(())) == VerificationResult(False, 1 << 5, 0b01101)
+    assert verify(g, zeroed(())) == VerificationResult(False, 1 << 5, 0b01101)
     assert verify_circuit_equivalence(Circuit(5), zeroed((Gate(7, 6),))) == VerificationResult(
         False, 1 << 5, 0
     )
     unrestored = zeroed(ladder.gates.gates[:2])  # the chain up, never undone
-    outcome = verify_equivalence(g, unrestored)
+    outcome = verify(g, unrestored)
     assert outcome == numpy_verify(Circuit(5, (g,)), unrestored)
     assert outcome.counterexample == 0b00001  # the first word that sets helper 5
 
@@ -324,11 +345,11 @@ def test_zeroed_mode_checks_ancilla_planes_against_zero():
 def test_wide_borrowed_verify_is_fast():
     """2^21 input words: the numpy fold took about 0.23 s, the planes about 0.02 s."""
     g = toffoli(12, range(11), 11, {1, 3})
-    network = ladder_borrowed(g)
+    network = expand(g, "borrowed")
     timings = []
     for _ in range(3):
         started = time.perf_counter()
-        outcome = verify_equivalence(g, network)
+        outcome = verify(g, network)
         timings.append(time.perf_counter() - started)
     assert outcome == VerificationResult(True, 1 << 21)
     assert min(timings) < 0.1, timings
@@ -423,9 +444,77 @@ POOLED_EXPANSION_TEXTS = {
 
 def test_expansion_texts_are_pinned():
     g = toffoli(9, range(7), 8, {1, 2, 3, 4, 5, 6})
-    expansion = expand_one_garbage(g)
+    expansion = expand(g, "one-garbage")
     assert len(expansion.gates) == 32
     assert expansion.gates.to_text() == ONE_GARBAGE_SIZE_8_TEXT
     circuit = parse_circuit(".n 5\nt5 a,b',c,d',e\nt1 a\nt4 b,c,d,e\nt2 a,b\n")
     for strategy, text in POOLED_EXPANSION_TEXTS.items():
         assert expand_circuit(circuit, strategy).gates.to_text() == text
+
+
+# One-garbage text of a 6-line circuit mixing a full-control gate, which needs
+# the added line g, with a size-5 gate that leaves line f free.  It is the text
+# each network gives when built at its own gate's width (6 lines for the size-5
+# gate), so building at the pool width changes nothing.
+MIXED_WIDTH_ONE_GARBAGE_TEXT = """\
+.n 7
+t3 d,f,g
+t3 c,e,f
+t3 a,b',e
+t3 c,e,f
+t3 d,f,g
+t3 c,e,f
+t3 a,b',e
+t3 c,e,f
+t3 e',g,f
+t3 d,f,g
+t3 c,e,f
+t3 a,b',e
+t3 c,e,f
+t3 d,f,g
+t3 c,e,f
+t3 a,b',e
+t3 c,e,f
+t3 e',g,f
+t3 c,d,f
+t3 a',b,d
+t3 c,d,f
+t3 a',b,d
+t3 e,f,d
+t3 c,d,f
+t3 a',b,d
+t3 c,d,f
+t3 a',b,d
+t3 e,f,d
+t2 a,b
+"""
+
+
+def test_mixed_width_one_garbage_keeps_smaller_gates_on_principal_lines():
+    circuit = parse_circuit(".n 6\nt6 a,b',c,d,e',f\nt5 a',b,c,e,d\nt2 a,b\n")
+    expansion = expand_circuit(circuit, "one-garbage")
+    assert expansion.ancilla_lines == 1
+    assert expansion.gates.to_text() == MIXED_WIDTH_ONE_GARBAGE_TEXT
+    smaller = expansion.gates.gates[18:28]  # the size-5 gate's G1 G2 G1 G2
+    assert all((g.control_mask | 1 << g.target) >> 6 == 0 for g in smaller)
+    assert verify_circuit_equivalence(circuit, expansion).equivalent
+
+
+@pytest.mark.parametrize(
+    "strategy, emitted", [("zeroed", 10), ("borrowed", 11), ("one-garbage", 13)]
+)
+def test_expand_circuit_builds_each_emitted_gate_once(strategy, emitted, monkeypatch):
+    """No decomposition is built twice: at most one Gate construction per emitted gate."""
+    circuit = parse_circuit(".n 5\nt5 a,b',c,d',e\nt1 a\nt4 b,c,d,e\nt2 a,b\n")
+    built = []
+    check = Gate.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        check(self, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__init__", counted)
+    expansion = expand_circuit(circuit, strategy)
+    monkeypatch.undo()
+    assert len(expansion.gates) == emitted
+    assert len(built) <= emitted, (len(built), emitted)

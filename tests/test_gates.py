@@ -183,6 +183,12 @@ def test_generator_set_is_fixed_by_label_and_n():
         GeneratorSet("X", 2)
     with pytest.raises(ValueError, match=r"line count 11 out of range \[1, 10\]"):
         GeneratorSet("I", 11)
+    # the line count is checked before the label, with check_lines' wording below 1
+    with pytest.raises(ValueError, match=r"^line count 11 out of range \[1, 10\]$"):
+        GeneratorSet("X", 11)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"^line count must be >= 1, got {n}$"):
+            GeneratorSet("X", n)
     for label, enumerate_set in (("I", enumerate_ci), ("H", enumerate_ch)):
         gen = GeneratorSet(label, 3)
         assert gen == enumerate_set(3) and hash(gen) == hash(enumerate_set(3))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revsynth.cli import SYNTHESIZERS
 from revsynth.gates import Circuit, Gate, parse_circuit
 from revsynth.hypercube import hc_bidirectional, hc_synthesize
 from revsynth.mmd import mmd_synthesize
@@ -70,6 +71,20 @@ def test_extremal_gate_counts_left():
     assert len(hc_synthesize(TruthVector([7, 4, 1, 6, 3, 0, 5, 2]), "left")) == 17
     n4 = [15, 12, 9, 14, 3, 0, 13, 2, 7, 4, 1, 6, 11, 8, 5, 10]
     assert len(hc_synthesize(TruthVector(n4), "left")) == 49
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_reverse_attains_the_hamming_lower_bound(n):
+    """The paper's H_n diameter bound as a checked fact: every hypercube order
+    gives the reverse permutation exactly n * 2^(n-1) gates, which is d_H / 2,
+    the least any cascade of full-control gates (each a two-bit move) can have."""
+    reverse = TruthVector.reverse(n)
+    bound = reverse.hamming(TruthVector.identity(n)) // 2
+    assert bound == n << n - 1
+    for algo in ("hc-right", "hc-left", "hc-bi"):
+        cascade = SYNTHESIZERS[algo](reverse)
+        assert len(cascade) == bound, algo
+        assert cascade.apply(reverse).is_identity(), algo
 
 
 def test_unknown_order_rejected():

@@ -60,11 +60,10 @@ PUBLIC_NAMES = [
     "DistanceHistogram", "GarbagePolicy", "Gate", "GeneratorSet", "HammingAuditReport",
     "QuantumGate", "TruthVector", "VerificationResult", "bfs", "build_unitary",
     "circuit_cost", "cost_report", "distance", "enumerate_ch", "enumerate_ci",
-    "expand_circuit", "expand_one_garbage", "gate_cost", "hamming_distance_audit",
-    "hc_bidirectional", "hc_synthesize", "ladder_borrowed", "ladder_zeroed",
-    "max_gate_cost", "mmd_synthesize", "parse_circuit", "split_one_borrowed",
+    "expand_circuit", "gate_cost", "hamming_distance_audit", "hc_bidirectional",
+    "hc_synthesize", "max_gate_cost", "mmd_synthesize", "parse_circuit", "split_one_borrowed",
     "synthesis_gate_bound", "toffoli", "verify_circuit_equivalence", "verify_elementary",
-    "verify_equivalence", "worst_case_qc", "x_root",
+    "worst_case_qc", "x_root",
 ]
 
 
