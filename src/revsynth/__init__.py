@@ -21,10 +21,8 @@ from .cayley import (
 from .cost import (
     CostReport,
     GarbagePolicy,
-    circuit_cost,
     cost_report,
     gate_cost,
-    max_gate_cost,
     synthesis_gate_bound,
     worst_case_qc,
 )

@@ -160,11 +160,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_verify_elementary(args: argparse.Namespace) -> int:
     from .elementary import verify_elementary  # numpy: imported only here
 
-    report = verify_elementary()
-    for check in report.checks:
+    checks = verify_elementary()
+    for check in checks:
         status = "PASS" if check.ok else "FAIL"
         print(f"{status} {check.name}: residual {check.residual:.3e} (tol {check.tolerance:.0e})")
-    return 0 if report.ok else 1
+    return 0 if all(c.ok for c in checks) else 1
 
 
 @functools.cache  # built on the first call, reused: parse_args keeps no state between calls

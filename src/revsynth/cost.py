@@ -59,19 +59,6 @@ def cost_of(size: int, negatives: int, policy: GarbagePolicy) -> int:
     return 10 * size - 25 if negatives == 0 else 10 * size - 23
 
 
-def circuit_cost(
-    c: Circuit, policy: GarbagePolicy = GarbagePolicy.ZERO
-) -> tuple[int, int]:
-    """(gate count, total quantum cost) of a circuit."""
-    return len(c.gates), sum(gate_cost(g, policy) for g in c.gates)
-
-
-def max_gate_cost(n: int, policy: GarbagePolicy) -> int:
-    """Largest cost any single gate on n lines can have under the policy."""
-    check_lines(n)
-    return max(cost_of(n, m, policy) for m in range(n))
-
-
 def synthesis_gate_bound(n: int) -> int:
     """Upper bound (n-1)*2^n + 1 on gates emitted by either synthesis."""
     return (n - 1) * check_lines(n) + 1
@@ -150,7 +137,9 @@ def _row(g: Gate, policy: GarbagePolicy) -> tuple[int, int, int]:
 
 def cost_report(c: Circuit, policy: GarbagePolicy) -> CostReport:
     rows = tuple([_row(g, policy) for g in c.gates])
-    bound, worst = synthesis_gate_bound(c.n), max_gate_cost(c.n, policy)
+    # Cost never falls as negative controls are added, so the costliest gate
+    # on n lines is the size-n gate with all n - 1 controls negative.
+    bound, worst = synthesis_gate_bound(c.n), cost_of(c.n, c.n - 1, policy)
     notes = [f"quantum-cost bound prices {bound} gates at the costliest size-{c.n} cost {worst}"]
     if any(s == 2 and m == 1 for s, m, _ in rows):
         notes.append(

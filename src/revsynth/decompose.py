@@ -165,9 +165,6 @@ class VerificationResult:
     inputs_checked: int
     counterexample: int | None = None
 
-    def __bool__(self) -> bool:
-        return self.equivalent
-
 
 def verify_circuit_equivalence(spec: Circuit, impl: AncillaCircuit) -> VerificationResult:
     """Exhaustively check that ``impl`` realizes ``spec`` and restores ancilla.

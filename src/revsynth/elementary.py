@@ -68,9 +68,9 @@ def build_unitary(gates: Sequence[QuantumGate], lines: int) -> np.ndarray:
     return m
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     return bool(
-        np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= tol
+        np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= UNITARY_TOL
     )
 
 
@@ -86,19 +86,7 @@ def ccu_positive_network(u: np.ndarray) -> list[QuantumGate]:
     the second control steered by the first, C-W dagger, the NOT again, and
     C-W on the first control.
     """
-    return _positive_pattern(principal_sqrt(u))
-
-
-def _positive_pattern(w: np.ndarray) -> list[QuantumGate]:
-    """:func:`ccu_positive_network`'s five gates for a given root W."""
-    wd = w.conj().T
-    return [
-        QuantumGate(w, target=2, controls=frozenset({1})),
-        QuantumGate(X, target=1, controls=frozenset({0})),
-        QuantumGate(wd, target=2, controls=frozenset({1})),
-        QuantumGate(X, target=1, controls=frozenset({0})),
-        QuantumGate(w, target=2, controls=frozenset({0})),
-    ]
+    return _network(principal_sqrt(u), _POSITIVE)
 
 
 def ccu_negative_network(u: np.ndarray) -> list[QuantumGate]:
@@ -107,15 +95,18 @@ def ccu_negative_network(u: np.ndarray) -> list[QuantumGate]:
     Same shape as the all-positive network but with the square-root pattern
     rearranged so the gate fires exactly when the second control is 0.
     """
-    w = principal_sqrt(u)
-    wd = w.conj().T
-    return [
-        QuantumGate(wd, target=2, controls=frozenset({1})),
-        QuantumGate(w, target=2, controls=frozenset({0})),
-        QuantumGate(X, target=1, controls=frozenset({0})),
-        QuantumGate(w, target=2, controls=frozenset({1})),
-        QuantumGate(X, target=1, controls=frozenset({0})),
-    ]
+    return _network(principal_sqrt(u), _NEGATIVE)
+
+
+# Each five-gate network as (matrix, target, control) rows, first gate first:
+# "W" is the root W of U, "Wdag" its conjugate transpose, "NOT" the X gate.
+_POSITIVE = (("W", 2, 1), ("NOT", 1, 0), ("Wdag", 2, 1), ("NOT", 1, 0), ("W", 2, 0))
+_NEGATIVE = (("Wdag", 2, 1), ("W", 2, 0), ("NOT", 1, 0), ("W", 2, 1), ("NOT", 1, 0))
+
+
+def _network(w: np.ndarray, shape: tuple[tuple[str, int, int], ...]) -> list[QuantumGate]:
+    matrices = {"W": w, "Wdag": w.conj().T, "NOT": X}
+    return [QuantumGate(matrices[m], target=t, controls=frozenset({c})) for m, t, c in shape]
 
 
 def principal_sqrt(u: np.ndarray) -> np.ndarray:
@@ -136,20 +127,11 @@ class ElementaryCheck:
         return self.residual <= self.tolerance
 
 
-@dataclass(frozen=True)
-class ElementaryReport:
-    checks: tuple[ElementaryCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 def _residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def verify_elementary() -> ElementaryReport:
+def verify_elementary() -> tuple[ElementaryCheck, ...]:
     """Check the five-gate controlled-U identities and V * V = X."""
     checks = [
         ElementaryCheck("v_squared_is_x", _residual(V @ V, X), 1e-12),
@@ -172,9 +154,9 @@ def verify_elementary() -> ElementaryReport:
     # Degenerate root choice: W = X squares to the identity, so the five-gate
     # pattern with W = X must realize a doubly-controlled identity.
     ident = np.eye(2, dtype=complex)
-    rhs_deg = build_unitary(_positive_pattern(X), 3)
+    rhs_deg = build_unitary(_network(X, _POSITIVE), 3)
     lhs_deg = build_unitary([ccu_gate(ident)], 3)
     checks.append(
         ElementaryCheck("degenerate_root_identity", _residual(lhs_deg, rhs_deg), UNITARY_TOL)
     )
-    return ElementaryReport(tuple(checks))
+    return tuple(checks)

@@ -6,11 +6,9 @@ import pytest
 from revsynth import cost
 from revsynth.cost import (
     GarbagePolicy,
-    circuit_cost,
     cost_of,
     cost_report,
     gate_cost,
-    max_gate_cost,
     synthesis_gate_bound,
     worst_case_qc,
 )
@@ -19,6 +17,19 @@ from revsynth.gates import CACHE_SIZE, Circuit, Gate, parse_circuit, toffoli
 ZERO = GarbagePolicy.ZERO
 ONE = GarbagePolicy.ONE
 NM3 = GarbagePolicy.N_MINUS_THREE
+
+
+def totals(c: Circuit, policy: GarbagePolicy = ZERO) -> tuple[int, int]:
+    """(gate count, quantum cost), as cost_report prices the circuit."""
+    report = cost_report(c, policy)
+    return report.gate_count, report.quantum_cost
+
+
+def costliest_gate(n: int, policy: GarbagePolicy) -> int:
+    # The per-gate price cost_report multiplies into its quantum-cost bound.
+    report = cost_report(Circuit(n), policy)
+    assert report.qc_bound % report.gate_bound == 0
+    return report.qc_bound // report.gate_bound
 
 
 def test_small_gate_table():
@@ -81,13 +92,13 @@ def test_cost_depends_only_on_size_and_negatives():
 
 
 def test_empty_circuit_costs_nothing():
-    assert circuit_cost(Circuit(3), ZERO) == (0, 0)
+    assert totals(Circuit(3), ZERO) == (0, 0)
 
 
 def test_worked_example_circuit_cost():
     # NOT + three Toffolis
     c = parse_circuit(".n 3\nt1 a\nt3 b,c,a\nt3 a,c,b\nt3 b,c,a\n")
-    assert circuit_cost(c, ZERO) == (4, 16)
+    assert totals(c, ZERO) == (4, 16)
 
 
 def test_mixed_polarity_cascade_cost():
@@ -95,15 +106,15 @@ def test_mixed_polarity_cascade_cost():
         ".n 3\nt3 a,c,b\nt3 b,c',a\nt3 a,c',b\nt3 a,b',c\n"
         "t3 a',c',b\nt3 a',b',c\nt3 b,c',a\nt3 b',c',a\n"
     )
-    assert circuit_cost(parse_circuit(text), ZERO) == (8, 46)
+    assert totals(parse_circuit(text), ZERO) == (8, 46)
 
 
 def test_cost_additive_under_concatenation():
     a = parse_circuit(".n 3\nt1 a\nt3 b,c,a\n")
     b = parse_circuit(".n 3\nt2 a',b\nt1 c\n")
-    gc_a, qc_a = circuit_cost(a, ZERO)
-    gc_b, qc_b = circuit_cost(b, ZERO)
-    assert circuit_cost(Circuit(a.n, a.gates + b.gates), ZERO) == (gc_a + gc_b, qc_a + qc_b)
+    gc_a, qc_a = totals(a, ZERO)
+    gc_b, qc_b = totals(b, ZERO)
+    assert totals(Circuit(a.n, a.gates + b.gates), ZERO) == (gc_a + gc_b, qc_a + qc_b)
 
 
 def test_synthesis_gate_bound():
@@ -163,12 +174,20 @@ def test_worst_case_h_zero_small_sizes_use_the_cost_table():
 
 
 def test_max_gate_cost():
-    assert max_gate_cost(1, ZERO) == 1
-    assert max_gate_cost(2, ZERO) == 2
-    assert max_gate_cost(3, ZERO) == 7
-    assert max_gate_cost(6, ZERO) == 61 + 10  # 2^6-3 plus 2*(6-1)
-    assert max_gate_cost(6, ONE) == 58
-    assert max_gate_cost(6, NM3) == 37
+    assert costliest_gate(1, ZERO) == 1
+    assert costliest_gate(2, ZERO) == 2
+    assert costliest_gate(3, ZERO) == 7
+    assert costliest_gate(6, ZERO) == 61 + 10  # 2^6-3 plus 2*(6-1)
+    assert costliest_gate(6, ONE) == 58
+    assert costliest_gate(6, NM3) == 37
+
+
+@pytest.mark.parametrize("policy", list(GarbagePolicy))
+def test_cost_never_falls_as_negative_controls_are_added(policy):
+    # cost_report prices its bound at cost_of(n, n - 1, policy) on this fact.
+    for n in range(1 if policy is ZERO else 5, 25):
+        costs = [cost_of(n, m, policy) for m in range(n)]
+        assert costs == sorted(costs), (n, policy, costs)
 
 
 def test_report_round_trips_as_json():
@@ -207,7 +226,7 @@ def test_cost_bounds_keep_their_values_over_the_line_range(n):
     assert synthesis_gate_bound(n) == bound
     policies = (ZERO, ONE, NM3) if n >= 5 else (ZERO,)
     for policy in policies:
-        assert max_gate_cost(n, policy) == max(_reference_cost(n, m, policy) for m in range(n))
+        assert costliest_gate(n, policy) == max(_reference_cost(n, m, policy) for m in range(n))
     if n >= 5:
         assert worst_case_qc(n, "I", ONE) == bound * _reference_cost(n, 0, ONE)
         assert worst_case_qc(n, "H", NM3) == bound * _reference_cost(n, 1, NM3)
@@ -218,12 +237,12 @@ def test_cost_bounds_keep_their_values_over_the_line_range(n):
 
 @pytest.mark.parametrize("n", [0, 25, 10**7])
 def test_cost_bounds_refuse_a_line_count_out_of_range_at_once(n):
-    # 2^n is never formed: at 10**7 lines that alone is a 10-million-bit int,
-    # and max_gate_cost would form it n times.
+    # 2^n is never formed: at 10**7 lines that alone is a 10-million-bit int.
+    # cost_of(n, n - 1, policy) is the costliest gate cost_report's bound prices.
     calls = [
         lambda: synthesis_gate_bound(n),
-        lambda: max_gate_cost(n, ZERO),
-        lambda: max_gate_cost(n, ONE),
+        lambda: cost_of(n, n - 1, ZERO),
+        lambda: cost_of(n, n - 1, ONE),
         lambda: worst_case_qc(n, "I", ZERO),
         lambda: worst_case_qc(n, "H", ZERO, m=0),
         lambda: worst_case_qc(n, "H", NM3),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from revsynth.cost import GarbagePolicy, circuit_cost
+from revsynth.cost import GarbagePolicy, cost_report
 from revsynth.decompose import (
     DECOMPOSE_STRATEGIES,
     AncillaCircuit,
@@ -97,7 +97,8 @@ def test_zeroed_ladder_all_positive_cost_is_linear():
         g = toffoli(s, range(s - 1), s - 1)
         ladder = expand(g, "zeroed")
         assert len(ladder.gates) == 2 * s - 5
-        gc, qc = circuit_cost(ladder.gates, GarbagePolicy.ZERO)
+        report = cost_report(ladder.gates, GarbagePolicy.ZERO)
+        gc, qc = report.gate_count, report.quantum_cost
         assert qc == 10 * s - 25
         assert gc * 5 == qc  # every sub-gate is a positive Toffoli
 
@@ -500,12 +501,19 @@ def test_mixed_width_one_garbage_keeps_smaller_gates_on_principal_lines():
     assert verify_circuit_equivalence(circuit, expansion).equivalent
 
 
-@pytest.mark.parametrize(
-    "strategy, emitted", [("zeroed", 10), ("borrowed", 11), ("one-garbage", 13)]
-)
-def test_expand_circuit_builds_each_emitted_gate_once(strategy, emitted, monkeypatch):
+FULL_WIDTH = ".n 5\nt5 a,b',c,d',e\nt1 a\nt4 b,c,d,e\nt2 a,b\n"
+LINE_TO_SPARE = ".n 6\nt5 a,b,c,d,e\nt1 a\nt2 b,f\n"  # one-garbage borrows f: no ancilla
+
+
+@pytest.mark.parametrize("strategy, emitted, text", [
+    pytest.param("zeroed", 10, FULL_WIDTH, id="zeroed-10"),
+    pytest.param("borrowed", 11, FULL_WIDTH, id="borrowed-11"),
+    pytest.param("one-garbage", 13, FULL_WIDTH, id="one-garbage-13"),
+    pytest.param("one-garbage", 12, LINE_TO_SPARE, id="one-garbage-12"),
+])
+def test_expand_circuit_builds_each_emitted_gate_once(strategy, emitted, text, monkeypatch):
     """No decomposition is built twice: at most one Gate construction per emitted gate."""
-    circuit = parse_circuit(".n 5\nt5 a,b',c,d',e\nt1 a\nt4 b,c,d,e\nt2 a,b\n")
+    circuit = parse_circuit(text)
     built = []
     check = Gate.__init__
 
@@ -518,3 +526,5 @@ def test_expand_circuit_builds_each_emitted_gate_once(strategy, emitted, monkeyp
     monkeypatch.undo()
     assert len(expansion.gates) == emitted
     assert len(built) <= emitted, (len(built), emitted)
+    if text == LINE_TO_SPARE:
+        assert expansion.ancilla_lines == 0

@@ -59,9 +59,9 @@ PUBLIC_NAMES = [
     "AncillaCircuit", "AncillaMode", "BfsResult", "Circuit", "CostReport",
     "DistanceHistogram", "GarbagePolicy", "Gate", "GeneratorSet", "HammingAuditReport",
     "QuantumGate", "TruthVector", "VerificationResult", "bfs", "build_unitary",
-    "circuit_cost", "cost_report", "distance", "enumerate_ch", "enumerate_ci",
+    "cost_report", "distance", "enumerate_ch", "enumerate_ci",
     "expand_circuit", "gate_cost", "hamming_distance_audit", "hc_bidirectional",
-    "hc_synthesize", "max_gate_cost", "mmd_synthesize", "parse_circuit", "split_one_borrowed",
+    "hc_synthesize", "mmd_synthesize", "parse_circuit", "split_one_borrowed",
     "synthesis_gate_bound", "toffoli", "verify_circuit_equivalence", "verify_elementary",
     "worst_case_qc", "x_root",
 ]
