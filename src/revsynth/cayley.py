@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
@@ -57,18 +57,25 @@ def check_bfs_lines(n: int) -> None:
 
 @dataclass(frozen=True)
 class DistanceHistogram:
-    """Distance distribution of one BFS: counts, diameter, average."""
+    """A length distribution (BFS distances, cascade sizes), built from its counts alone."""
 
-    label: str
-    n: int
-    counts: Mapping[int, int]  # read-only
-    diameter: int
-    average: float
-    total: int
+    counts: Mapping[int, int]  # read-only, ascending
+    diameter: int = field(init=False)
+    average: float = field(init=False)
+    total: int = field(init=False)
 
-    def to_csv(self) -> str:
-        lines = ["distance,count"]
-        lines.extend(f"{d},{self.counts[d]}" for d in sorted(self.counts))
+    def __post_init__(self):
+        counts = MappingProxyType(dict(sorted(self.counts.items())))
+        total = sum(counts.values())
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "diameter", max(counts))
+        object.__setattr__(self, "average", sum(d * c for d, c in counts.items()) / total)
+        object.__setattr__(self, "total", total)
+
+    def to_csv(self, column: str) -> str:
+        """``<column>,count`` rows, one per length, ascending."""
+        lines = [f"{column},count"]
+        lines.extend(f"{d},{c}" for d, c in self.counts.items())
         return "\n".join(lines) + "\n"
 
 
@@ -80,11 +87,6 @@ class BfsResult:
     histogram: DistanceHistogram
     bipartite: bool
     odd_walk: tuple[TruthVector, ...] | None
-
-    def distance_of(self, tv: TruthVector) -> int:
-        if tv.n != self.n:
-            raise ValueError(f"line counts differ: {tv.n} != {self.n}")
-        return self.distances[rank_entries(tv.entries)]
 
     def dump(self) -> bytes:
         """Binary distance table: 16-byte header then u8 distances by rank."""
@@ -182,20 +184,17 @@ def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
     per_distance = np.bincount(dist)
     if per_distance[_UNSEEN:].any():
         raise RuntimeError("generator set did not reach the whole group")
-    counts = MappingProxyType({d: int(c) for d, c in enumerate(per_distance) if c})
-    diameter = max(counts)
-    average = sum(d * c for d, c in counts.items()) / total
-    histogram = DistanceHistogram(gen_set.label, n, counts, diameter, average, total)
+    histogram = DistanceHistogram({d: int(c) for d, c in enumerate(per_distance) if c})
 
     odd_walk = None
     if conflict is not None:
-        odd_walk = _closed_walk(conflict, parent_rank.tolist(), dist, size)
+        odd_walk = _closed_walk(conflict, parent_rank, dist, size)
     return BfsResult(gen_set.label, n, dist.tobytes(), histogram, conflict is None, odd_walk)
 
 
 def _closed_walk(
     conflict: tuple[int, int],
-    parent_rank: list[int],
+    parent_rank: np.ndarray,
     dist: np.ndarray,
     size: int,
 ) -> tuple[TruthVector, ...]:
@@ -212,12 +211,15 @@ def _closed_walk(
     up = path_to_root(ru)[::-1]  # identity ... u
     down = path_to_root(rv)  # v ... identity
     walk = up + down
-    return tuple(TruthVector(unrank_entries(r, size)) for r in walk)
+    return tuple(TruthVector(unrank_entries(int(r), size)) for r in walk)
 
 
 def distance(tv: TruthVector, gen_set: GeneratorSet) -> int:
     """Length of a shortest gate cascade realizing ``tv`` from the library."""
-    return bfs(gen_set).distance_of(tv)
+    distances = bfs(gen_set).distances  # first: n > 3 gets the BFS refusal
+    if tv.n != gen_set.n:
+        raise ValueError(f"line counts differ: {tv.n} != {gen_set.n}")
+    return distances[rank_entries(tv.entries)]
 
 
 @dataclass(frozen=True)

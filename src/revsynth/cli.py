@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from . import __version__
-from .cayley import bfs, check_bfs_lines, hamming_distance_audit
+from .cayley import DistanceHistogram, bfs, check_bfs_lines, hamming_distance_audit
 from .cost import GarbagePolicy, cost_report
 from .decompose import DECOMPOSE_STRATEGIES, expand_circuit, verify_circuit_equivalence
 from .gates import LABELS, GeneratorSet, parse_circuit
@@ -82,30 +82,24 @@ def cmd_cost(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     check_bfs_lines(args.n)  # enumeration visits every vertex of the BFS graph
     synthesize = SYNTHESIZERS[args.algo]
-    histogram: Counter[int] = Counter()
-    for tv in map(TruthVector, itertools.permutations(range(1 << args.n))):  # in rank order
-        histogram[len(synthesize(tv))] += 1
-    total = sum(histogram.values())
-    average = sum(k * v for k, v in histogram.items()) / total
-    lines = ["gates,count"]
-    lines.extend(f"{k},{histogram[k]}" for k in sorted(histogram))
-    csv_text = "\n".join(lines) + "\n"
+    perms = map(TruthVector, itertools.permutations(range(1 << args.n)))  # in rank order
+    hist = DistanceHistogram(Counter(len(synthesize(tv)) for tv in perms))
     if args.csv:
-        _write_text(args.csv, csv_text)
+        _write_text(args.csv, hist.to_csv("gates"))
     if args.format == "json":
         report = {
             "algorithm": args.algo,
             "n": args.n,
-            "histogram": {str(k): histogram[k] for k in sorted(histogram)},
-            "average": average,
+            "histogram": {str(k): c for k, c in hist.counts.items()},
+            "average": hist.average,
         }
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
     print(f"algorithm: {args.algo}")
-    print(f"permutations: {total}")
-    for k in sorted(histogram, reverse=True):
-        print(f"gates {k:>3}: {histogram[k]}")
-    print(f"average gates: {average:.2f}")
+    print(f"permutations: {hist.total}")
+    for k in reversed(hist.counts):
+        print(f"gates {k:>3}: {hist.counts[k]}")
+    print(f"average gates: {hist.average:.2f}")
     return 0
 
 
@@ -116,14 +110,14 @@ def cmd_bfs(args: argparse.Namespace) -> int:
     result = bfs(GeneratorSet(args.set, args.n))
     hist = result.histogram
     if args.csv:
-        _write_text(args.csv, hist.to_csv())
+        _write_text(args.csv, hist.to_csv("distance"))
     if args.dump:
         with open(args.dump, "wb") as fh:
             fh.write(result.dump())
     print(f"generator set: {args.set}, lines: {args.n}")
     print(f"vertices: {hist.total}")
-    for d in sorted(hist.counts):
-        print(f"distance {d:>3}: {hist.counts[d]}")
+    for d, c in hist.counts.items():
+        print(f"distance {d:>3}: {c}")
     print(f"diameter: {hist.diameter}")
     print(f"average distance: {hist.average:.2f}")
     print(f"bipartite: {'yes' if result.bipartite else 'no'}")

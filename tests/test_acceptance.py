@@ -18,6 +18,7 @@ import pytest
 import revsynth.cayley as cayley
 from revsynth.cayley import (
     bfs,
+    distance,
     hamming_distance_audit,
 )
 from revsynth.cost import GarbagePolicy, cost_of, cost_report, worst_case_qc
@@ -268,7 +269,7 @@ def test_criterion_06_full_control_graph_properties():
         "bipartite": result.bipartite,
         "parity layering": audit.parity_consistent,
         "diameter in [12, 17]": 12 <= result.histogram.diameter <= 17,
-        "reverse distance >= 12": result.distance_of(rho) >= 12,
+        "reverse distance >= 12": distance(rho, enumerate_ch(3)) >= 12,
         "sandwich all vertices": audit.violations == 0
         and audit.vertices_checked == 40319,
         "frozen fixture": result.histogram.counts == H3_FIXTURE
@@ -279,7 +280,7 @@ def test_criterion_06_full_control_graph_properties():
         6,
         all(checks.values()),
         f"diameter {result.histogram.diameter}, reverse at "
-        f"{result.distance_of(rho)}, {elapsed:.1f}s",
+        f"{distance(rho, enumerate_ch(3))}, {elapsed:.1f}s",
     )
     failed = [name for name, ok in checks.items() if not ok]
     assert not failed, failed

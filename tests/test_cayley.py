@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import revsynth.cayley as cayley
 from revsynth.cayley import (
     DUMP_MAGIC,
+    DistanceHistogram,
     bfs,
     distance,
     hamming_distance_audit,
@@ -67,6 +69,24 @@ def test_histogram_invariants(label, n):
     assert abs(hist.average - expected_avg) < 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 60), st.integers(1, 10**6), min_size=1), st.randoms())
+def test_histogram_record_is_derived_from_its_counts(counts, rng):
+    items = list(counts.items())
+    rng.shuffle(items)  # any insertion order gives the same record
+    hist = DistanceHistogram(dict(items))
+    total = sum(counts.values())
+    assert hist.total == total
+    assert hist.diameter == max(counts)
+    assert hist.average == float(Fraction(sum(d * c for d, c in counts.items()), total))
+    assert list(hist.counts) == sorted(counts)
+    assert dict(hist.counts) == counts
+    with pytest.raises(TypeError):
+        hist.counts[0] = 1
+    rows = hist.to_csv("gates").splitlines()
+    assert rows == ["gates,count"] + [f"{d},{counts[d]}" for d in sorted(counts)]
+
+
 def test_i3_matches_published_optimal_distribution():
     hist = bfs(enumerate_ci(3)).histogram
     assert hist.counts == I3_COUNTS
@@ -86,6 +106,11 @@ def test_distance_examples():
     assert distance(_perms(ch3)[5], ch3) == 1
     ci3 = enumerate_ci(3)
     assert distance(_perms(ci3)[3], ci3) == 1
+
+
+def test_distance_refuses_a_line_count_other_than_the_librarys():
+    with pytest.raises(ValueError, match=r"^line counts differ: 2 != 3$"):
+        distance(TruthVector.identity(2), enumerate_ci(3))
 
 
 def test_reverse_permutation_distance_and_sandwich():
@@ -164,13 +189,12 @@ def test_same_level_edges_only_in_i_graph():
     all-positive graph has at least one same-level edge."""
     for label, expect_flat_edge in (("H", False), ("I", True)):
         gen = enumerate_ch(2) if label == "H" else enumerate_ci(2)
-        result = bfs(gen)
         flat = False
         for entries in itertools.permutations(range(4)):
             u = TruthVector(entries)
-            du = result.distance_of(u)
+            du = distance(u, gen)
             for p in _perms(gen):
-                dv = result.distance_of(p.compose(u))
+                dv = distance(p.compose(u), gen)
                 assert abs(du - dv) <= 1
                 flat = flat or du == dv
         assert flat == expect_flat_edge
@@ -178,11 +202,11 @@ def test_same_level_edges_only_in_i_graph():
 
 def test_parity_layering_in_h3():
     rng = random.Random(52)
-    result = bfs(enumerate_ch(3))
+    gen = enumerate_ch(3)
     for _ in range(200):
         tv = TruthVector(rng.sample(range(8), 8))
         inversions = sum(a > b for a, b in itertools.combinations(tv.entries, 2))
-        assert result.distance_of(tv) % 2 == inversions % 2
+        assert distance(tv, gen) % 2 == inversions % 2
 
 
 def test_hamming_audit():
@@ -374,7 +398,7 @@ def test_malformed_dump_raises_only_value_error(data):
 
 def test_csv_format():
     hist = bfs(enumerate_ci(2)).histogram
-    lines = hist.to_csv().strip().splitlines()
+    lines = hist.to_csv("distance").strip().splitlines()
     assert lines[0] == "distance,count"
     assert lines[1] == "0,1"
     assert lines[2] == "1,4"

@@ -68,6 +68,9 @@ def _case_list():
             cases.append((f"enumerate-{algo}-{fmt}",
                           ["enumerate", "--n", "2", "--algo", algo, "--format", fmt,
                            "--csv", "hist.csv"], ["hist.csv"]))
+    cases.append(("enumerate-mmd-3-json",
+                  ["enumerate", "--n", "3", "--algo", "mmd", "--format", "json",
+                   "--csv", "hist.csv"], ["hist.csv"]))
     for label in ("I", "H"):
         for n in (2, 3):
             argv = ["bfs", "--set", label, "--n", str(n), "--csv", "dist.csv", "--dump", "dist.bin"]
@@ -118,6 +121,7 @@ GOLDEN = {
     "enumerate-hc-left-json": "356188b4d41d18c5a6d146bdfe212e5179bedd44e75af6768ff615006378e279",
     "enumerate-hc-bi-text": "bf09554cb617f14275548a8ff4d836c0612bfc76f6841074e07fe9158e2dd800",
     "enumerate-hc-bi-json": "e9e0cca1b536e8033c9c4b8db48b49dece9f981499daa2ef3dcdf65554778d02",
+    "enumerate-mmd-3-json": "6bea292395f07fde04a7c98a1ffb50bc5bb5ede35bd4f1cc9e7b1480c33190e4",
     "bfs-I-2": "dd9f658b6d62849068ac27f34db658acac905bd78ad41f04c611034999c34766",
     "bfs-I-3": "470baa1bc57f9830e01b625711fd7550cff4e48993bd54c51c316390428997e6",
     "bfs-H-2": "a47e778929a76a93c90de5d9a6db71c47da8156120c124580e3e3491bd491b85",

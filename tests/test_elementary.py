@@ -3,6 +3,7 @@ import pytest
 
 from revsynth.cost import GarbagePolicy, cost_of
 from revsynth.elementary import (
+    UNITARY_TOL,
     V,
     V_DAG,
     X,
@@ -11,7 +12,6 @@ from revsynth.elementary import (
     ccu_gate,
     ccu_negative_network,
     ccu_positive_network,
-    is_unitary,
     principal_sqrt,
     verify_elementary,
     x_root,
@@ -39,11 +39,15 @@ def test_principal_sqrt_squares_back():
         assert np.max(np.abs(w @ w - u)) < 1e-12
 
 
+def _unitarity_residual(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
+
+
 def test_unitarity_of_built_matrices():
     for u in (X, V, V_DAG):
         m = build_unitary([QuantumGate(u, target=1, controls=frozenset({0}))], 2)
-        assert is_unitary(m)
-    assert is_unitary(build_unitary(ccu_positive_network(V), 3))
+        assert _unitarity_residual(m) <= UNITARY_TOL
+    assert _unitarity_residual(build_unitary(ccu_positive_network(V), 3)) <= UNITARY_TOL
 
 
 def test_two_positive_control_identity():
@@ -106,3 +110,13 @@ def test_verify_elementary_report():
             "one_negative_control_x", "one_negative_control_v"} <= names
     for check in checks:
         assert check.residual <= check.tolerance
+
+
+def test_unitarity_is_reported_as_a_measured_residual():
+    """Every check compares a measured residual with a positive tolerance; the
+    network-unitarity rows carry max |M M^dagger - I| of the positive network."""
+    checks = {c.name: c for c in verify_elementary()}
+    assert all(c.tolerance > 0 for c in checks.values())
+    for name, u in (("x", X), ("v", V)):
+        expected = _unitarity_residual(build_unitary(ccu_positive_network(u), 3))
+        assert checks[f"network_unitary_{name}"].residual == expected
