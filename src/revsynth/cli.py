@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on a domain error (bad permutation file, policy
 or size mismatch, line cap), 2 on a usage error, 3 on an internal error (a
-result that failed its own re-verification).  All output for a given input
-is byte-identical across runs.
+result that failed its own re-verification, or running out of memory).  All
+output for a given input is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -249,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except RuntimeError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: internal: out of memory", file=sys.stderr)
         return 3
 
 

@@ -214,8 +214,9 @@ def expand_circuit(circuit: Circuit, strategy: str) -> AncillaCircuit:
 
     The pool is as wide as the largest helper count any gate needs; each
     oversized gate's network is built at that width, and gates already small
-    enough for the strategy pass through, lifted to it.  All expansions
-    restore their helpers, so consecutive gates reuse the same pool.
+    enough for the strategy pass through, lifted to it when it adds lines.
+    All expansions restore their helpers, so consecutive gates reuse the same
+    pool.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(
@@ -229,6 +230,8 @@ def expand_circuit(circuit: Circuit, strategy: str) -> AncillaCircuit:
     for g in circuit.gates:
         if g.size >= min_size:
             gates += build(g, total)
+        elif total == circuit.n:  # the pool adds no line: the gate passes through as it is
+            gates.append(g)
         else:
             gates.append(Gate(total, g.target, g.control_mask, g.value_mask))
     return AncillaCircuit(circuit.n, total - circuit.n, mode, Circuit(total, gates))

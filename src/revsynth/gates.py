@@ -21,9 +21,11 @@ Both families have n * 2^(n-1) members and every member is an involution.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perm import MAX_LINES, TruthVector, check_lines, decimal
 
@@ -132,21 +134,20 @@ class Gate(namedtuple("Gate", "n target control_mask value_mask", defaults=(0, 0
 # fold_planes runs the rule on a set of words that need not be a permutation,
 # stored as bit planes: plane c is an int whose bit x is bit c of word x, so
 # a gate is one AND per control and one XOR, each over the whole word set.
+# Callers: mmd_synthesize folds its steps and decomposition verification its
+# words with fold_planes; Circuit.apply takes whichever of the two does less
+# work on its cascade; to_planes and from_planes convert a word list.
 
 def fold_into(values: list[int], where: list[int], gates: Iterable[Gate]) -> None:
     """Apply ``gates`` in order to the permutation ``values``, in place.
 
     ``where[v]`` must be the position of ``v`` in ``values``; both lists are
-    updated together, so a caller can fold step after step without
-    rebuilding the inverse.  Nothing is checked (:meth:`Circuit.apply` is
-    the checked entry point): the cost is the gates' swap counts alone,
-    2^(n-1-k) for a gate with k controls, not 2^n.  Gates with few controls
-    are the worst case, since a swap costs about three entry comparisons.
-    Through ``Circuit.apply`` on 2^16 entries (CPython 3.11, 2-vCPU Xeon),
-    20 NOT gates took 0.22-0.41 s where comparing every entry took
-    0.08-0.11 s, 20 CNOTs about as long as the comparisons, and two or more
-    controls less time (four controls: 0.04-0.08 s against 0.13-0.22 s).
-    No synthesizer emits long runs of such gates.
+    updated together.  Nothing is checked (:meth:`Circuit.apply` is the
+    checked entry point): the cost is the gates' swap counts alone,
+    2^(n-1-k) for a gate with k controls, not 2^n, so it serves cascades of
+    wide gates such as the hypercube scans' full-control ones.  Gates with
+    few controls are its worst case, since a swap costs about three entry
+    comparisons; ``Circuit.apply`` sends those to :func:`fold_planes`.
     """
     full = len(values) - 1
     for g in gates:
@@ -173,16 +174,19 @@ def fold_planes(planes: list[int], full: int, gates: Iterable[Gate]) -> None:
 
     ``full`` has one set bit per word.  A control firing on 0 ANDs with
     ``full ^ plane``: ``~plane`` is a negative int, and ANDing with one
-    measured about 20 times slower.
+    measured about 20 times slower.  The firing set is computed once per run
+    of gates with equal masks: a gate never controls its own target, so the
+    earlier gates of such a run left every control plane as it was.
     """
-    for g in gates:
-        fire = full
-        rest, vm = g.control_mask, g.value_mask
-        while rest:
-            c = (rest & -rest).bit_length() - 1
-            fire &= planes[c] if vm >> c & 1 else full ^ planes[c]
-            rest &= rest - 1
-        planes[g.target] ^= fire
+    cm = vm = -1
+    for _, target, control_mask, value_mask in gates:
+        if control_mask != cm or value_mask != vm:
+            cm, vm, fire, rest = control_mask, value_mask, full, control_mask
+            while rest:
+                c = (rest & -rest).bit_length() - 1
+                fire &= planes[c] if vm >> c & 1 else full ^ planes[c]
+                rest &= rest - 1
+        planes[target] ^= fire
 
 
 def input_planes(bits: int) -> list[int]:
@@ -196,6 +200,42 @@ def input_planes(bits: int) -> list[int]:
             period <<= 1
         planes.append(plane)
     return planes
+
+
+# to_planes and from_planes pack each word into one native unsigned long (at least 32 bits),
+# low byte first, so byte c // 8 of every word is one strided slice of the packed bytes.
+_WORD_BYTES = array("L").itemsize
+_LOW_FIRST = sys.byteorder == "little"
+_BIT_CHARS = tuple(bytes(48 | b >> k & 1 for b in range(256)) for k in range(8))  # bit k: "0"/"1"
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" characters to 0/1 bytes
+
+
+def to_planes(words: Sequence[int], bits: int) -> list[int]:
+    """The ``bits`` planes of ``words``: bit x of plane c is bit c of ``words[x]``.
+
+    Each plane is one byte slice of the packed words, translated to "0"/"1" characters and read
+    base 2, so the transposition runs in C.  The words are packed last first, so each slice
+    spells its plane from the top bit down.
+    """
+    packed = array("L", words)
+    packed.reverse()
+    if not _LOW_FIRST:
+        packed.byteswap()
+    raw = packed.tobytes()
+    return [int(raw[c >> 3::_WORD_BYTES].translate(_BIT_CHARS[c & 7]), 2) for c in range(bits)]
+
+
+def from_planes(planes: list[int], count: int) -> list[int]:
+    """The ``count`` words held as bit ``planes``: the inverse of :func:`to_planes`."""
+    raw = bytearray(_WORD_BYTES * count)
+    for c, plane in enumerate(planes):  # one 0/1 byte per word, ORed into byte c // 8 of each
+        bit = int.from_bytes(format(plane, f"0{count}b").encode().translate(_BIT_VALUES), "big")
+        byte = int.from_bytes(raw[c >> 3::_WORD_BYTES], "little") | bit << (c & 7)
+        raw[c >> 3::_WORD_BYTES] = byte.to_bytes(count, "little")
+    packed = array("L", raw)
+    if not _LOW_FIRST:
+        packed.byteswap()
+    return packed.tolist()
 
 
 def _lines(mask: int) -> frozenset[int]:
@@ -250,8 +290,17 @@ class Circuit:
     def apply(self, tv: TruthVector) -> TruthVector:
         if tv.n != self.n:
             raise ValueError(f"line counts differ: circuit {self.n}, vector {tv.n}")
+        # fold_into swaps 2^(n-1-k) pairs for a gate with k controls; fold_planes does about n
+        # big-int operations per gate (at most one per control, and one XOR), plus a conversion
+        # each way.  Few-control gates (mmd's) favour the planes, full-control ones (the
+        # hypercube scans', one swap each) the swaps.
+        n, gates = self.n, self.gates
+        if sum(1 << n - 1 - g.control_mask.bit_count() for g in gates) > n * len(gates):
+            planes = to_planes(tv.entries, n)
+            fold_planes(planes, (1 << len(tv)) - 1, gates)
+            return TruthVector(from_planes(planes, len(tv)))
         entries = list(tv.entries)
-        fold_into(entries, list(tv.where), self.gates)
+        fold_into(entries, list(tv.where), gates)
         return TruthVector(entries)
 
     def inverse(self) -> "Circuit":
@@ -383,9 +432,13 @@ def enumerate_ch(n: int) -> GeneratorSet:
 def family_gate(label: str, n: int) -> Callable[[int, int], Gate]:
     """``gate(target, pattern)`` as :func:`_family_rule` builds it, but up to ENUMERATE_MAX_LINES
     the cached set's shared member, at ``target << n-1`` plus the pattern less its target bit.
-    The pattern must have the target bit clear, which that lookup does not check (a set bit
-    picks another member): both synthesizers build it so, and no outside input reaches here."""
+    A pattern with the target bit set is refused on both paths, with Gate's own message."""
     if n > ENUMERATE_MAX_LINES:  # the set cannot be enumerated: each call builds a gate
         return _family_rule(label, n)
     members = GeneratorSet(label, n).members
-    return lambda t, p: members[t << n - 1 | p & (1 << t) - 1 | p >> 1 & -1 << t]
+
+    def gate(t: int, p: int) -> Gate:
+        if p >> t & 1:
+            raise ValueError(f"target line {t} cannot also be a control")
+        return members[t << n - 1 | p & (1 << t) - 1 | p >> 1 & -1 << t]
+    return gate

@@ -5,12 +5,22 @@ output column until it equals the identity, never disturbing rows already
 fixed.  The emitted cascade maps the input function to the identity; read in
 reverse it realizes the function from the identity.  Gate count never exceeds
 (n-1)*2^n + 1.
+
+The working function is held as n bit planes (bit i of plane c is bit c of
+row i's value), so each step's gates run through ``fold_planes``: a gate with
+k controls costs k + 1 big-int operations instead of the 2^(n-1-k) swaps of
+``fold_into``, and a step's switch-on and switch-off runs share their masks.
 """
 
 from __future__ import annotations
 
-from .gates import Circuit, Gate, family_gate, fold_into
+import functools
+
+from .gates import Circuit, Gate, family_gate, fold_planes, input_planes, to_planes
 from .perm import TruthVector
+
+# The self-check's target, kept for the last n: `enumerate` synthesizes every function at one n.
+_identity_planes = functools.lru_cache(maxsize=1)(input_planes)
 
 
 def mmd_synthesize(f: TruthVector) -> Circuit:
@@ -31,19 +41,22 @@ def mmd_synthesize(f: TruthVector) -> Circuit:
     """
     n = f.n
     size = 1 << n
-    entries, where = list(f.entries), list(f.where)
+    planes, full = to_planes(f.entries, n), (1 << size) - 1
     gate = family_gate("I", n)
     gates: list[Gate] = []
 
     for i in range(size):
-        v = entries[i]
+        v = 0
+        for plane in reversed(planes):  # row i's value, top bit first
+            v = v << 1 | plane >> i & 1
         if v == i:
             continue
-        step = len(gates)
-        gates += [gate(j, v) for j in range(n) if (i & ~v) >> j & 1]  # bits to switch on
-        gates += [gate(k, i) for k in range(n) if (v & ~i) >> k & 1]  # then off
-        fold_into(entries, where, gates[step:])
+        # Bits to switch on, controlled on v, then bits to switch off, controlled on i.
+        step = [gate(j, pattern) for pattern, flips in ((v, i & ~v), (i, v & ~i))
+                for j in range(n) if flips >> j & 1]
+        fold_planes(planes, full, step)
+        gates += step
 
-    if entries != list(range(size)):
+    if planes != _identity_planes(n):
         raise RuntimeError("synthesis failed to reach the identity")
     return Circuit(n, tuple(gates))

@@ -503,6 +503,7 @@ def test_mixed_width_one_garbage_keeps_smaller_gates_on_principal_lines():
 
 FULL_WIDTH = ".n 5\nt5 a,b',c,d',e\nt1 a\nt4 b,c,d,e\nt2 a,b\n"
 LINE_TO_SPARE = ".n 6\nt5 a,b,c,d,e\nt1 a\nt2 b,f\n"  # one-garbage borrows f: no ancilla
+PASS_THROUGH = ".n 6\nt5 a,b,c,d,e\nt1 a\n"
 
 
 @pytest.mark.parametrize("strategy, emitted, text", [
@@ -510,6 +511,7 @@ LINE_TO_SPARE = ".n 6\nt5 a,b,c,d,e\nt1 a\nt2 b,f\n"  # one-garbage borrows f: n
     pytest.param("borrowed", 11, FULL_WIDTH, id="borrowed-11"),
     pytest.param("one-garbage", 13, FULL_WIDTH, id="one-garbage-13"),
     pytest.param("one-garbage", 12, LINE_TO_SPARE, id="one-garbage-12"),
+    pytest.param("one-garbage", 11, PASS_THROUGH, id="one-garbage-11"),
 ])
 def test_expand_circuit_builds_each_emitted_gate_once(strategy, emitted, text, monkeypatch):
     """No decomposition is built twice: at most one Gate construction per emitted gate."""
@@ -526,5 +528,8 @@ def test_expand_circuit_builds_each_emitted_gate_once(strategy, emitted, text, m
     monkeypatch.undo()
     assert len(expansion.gates) == emitted
     assert len(built) <= emitted, (len(built), emitted)
-    if text == LINE_TO_SPARE:
+    if text in (LINE_TO_SPARE, PASS_THROUGH):
         assert expansion.ancilla_lines == 0
+        # No line added: each small gate is passed through as the same object, not rebuilt.
+        small = [g for g in circuit.gates if g.size < 5]
+        assert all(any(e is g for e in expansion.gates) for g in small)

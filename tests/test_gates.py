@@ -18,8 +18,10 @@ from revsynth.gates import (
     enumerate_ci,
     family_gate,
     fold_planes,
+    from_planes,
     input_planes,
     parse_circuit,
+    to_planes,
     toffoli,
 )
 from revsynth.perm import TruthVector, check_lines, decimal
@@ -662,6 +664,77 @@ def test_fold_kernels_agree(case):
     assert reference == by_list
 
 
+def _direct(gates, words: list[int]) -> list[int]:
+    # The firing rule on each word, one gate at a time: the reference for both kernels.
+    for g in gates:
+        words = [w ^ 1 << g.target if w & g.control_mask == g.value_mask else w for w in words]
+    return words
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda bits: st.tuples(
+    st.just(bits), st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=70))))
+def test_plane_conversions_match_the_per_bit_transposition(case):
+    bits, words = case  # any word list: repeats, any length, up to three bytes per word
+    planes = to_planes(words, bits)
+    assert planes == _to_planes(words, bits)
+    assert from_planes(planes, len(words)) == words
+
+
+@st.composite
+def masked_runs(draw):
+    """Runs of gates sharing both masks, where consecutive runs may share the control mask and
+    differ only in the value mask, over a word list that need not be a permutation."""
+    n = draw(st.integers(2, 10))
+    runs = []
+    for _ in range(draw(st.integers(1, 5))):
+        cm = draw(st.integers(0, (1 << n) - 1)) & ~(1 << draw(st.integers(0, n - 1)))
+        free = [t for t in range(n) if not cm >> t & 1]
+        for vm in draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3)):
+            targets = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4))
+            runs += [Gate(n, t, cm, vm & cm) for t in targets]
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    return n, runs, words
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_runs())
+def test_fold_planes_reuses_a_fire_set_only_within_a_run(case):
+    n, runs, words = case
+    planes = _to_planes(words, n)
+    fold_planes(planes, (1 << len(words)) - 1, runs)
+    assert _from_planes(planes, len(words)) == _direct(runs, words)
+
+
+def _narrow(rng: random.Random, n: int) -> Gate:  # NOT or CNOT: 2^(n-1) or 2^(n-2) swaps
+    t = rng.randrange(n)
+    c = rng.choice([l for l in range(n) if l != t] + [None])
+    return Gate(n, t) if c is None else Gate(n, t, 1 << c, rng.getrandbits(1) << c)
+
+
+def _full(rng: random.Random, n: int) -> Gate:  # full control: one swap
+    t = rng.randrange(n)
+    cm = (1 << n) - 1 ^ 1 << t
+    return Gate(n, t, cm, rng.getrandbits(n) & cm)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+@pytest.mark.parametrize("build, kernel", [(_narrow, "fold_planes"), (_full, "fold_into")])
+def test_circuit_apply_takes_the_cheaper_kernel(n, build, kernel, monkeypatch):
+    rng = random.Random(n)
+    c = Circuit(n, [build(rng, n) for _ in range(40)])
+    start = rng.sample(range(1 << n), 1 << n)
+    called = []
+    for name in ("fold_into", "fold_planes"):
+        def spy(*args, _real=getattr(gates, name), _name=name):
+            called.append(_name)
+            _real(*args)
+        monkeypatch.setattr(gates, name, spy)
+    result = c.apply(TruthVector(start))
+    assert called == [kernel]
+    assert list(result) == _direct(c.gates, start)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_toffoli_views_and_text_round_trip(data):
@@ -778,6 +851,17 @@ def test_family_gate_builds_checked_gates_past_the_enumeration_cap(label, n, mon
         assert g == _rule_gate(label, n, t, p) and g is not gate(t, p)
     with pytest.raises(ValueError):  # the checks ran: a pattern holding the target is refused
         gate(0, 1)
+
+
+@pytest.mark.parametrize("label", ["I", "H"])
+def test_family_gate_refuses_a_pattern_holding_the_target_on_both_paths(label):
+    for target, pattern in ((0, 1), (1, 0b010), (2, 0b111)):
+        messages = []
+        for n in (3, 11):  # the cached set's lookup, then a checked Gate built per call
+            with pytest.raises(ValueError) as info:
+                family_gate(label, n)(target, pattern)
+            messages.append(str(info.value))
+        assert messages == [f"target line {target} cannot also be a control"] * 2
 
 
 def test_family_gate_refusals():

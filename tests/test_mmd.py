@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revsynth.gates import Circuit, Gate, toffoli
+from revsynth.gates import Circuit, Gate, fold_into, toffoli
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector
 
@@ -128,3 +128,34 @@ def test_exhaustive_s8_sample_slice():
         circuit = mmd_synthesize(f)
         assert circuit.apply(f).is_identity()
         assert len(circuit) <= 17
+
+
+def _list_fold_mmd(f: TruthVector) -> list[Gate]:
+    # The same step rule on a value list: read row i by index, fold each step's swaps.
+    n, size = f.n, len(f)
+    entries, where = list(f.entries), list(f.where)
+    gates: list[Gate] = []
+    for i in range(size):
+        v = entries[i]
+        if v == i:
+            continue
+        step = [Gate(n, j, v, v) for j in range(n) if (i & ~v) >> j & 1]
+        step += [Gate(n, k, i, i) for k in range(n) if (v & ~i) >> k & 1]
+        fold_into(entries, where, step)
+        gates += step
+    assert entries == list(range(size))
+    return gates
+
+
+def test_planes_emit_the_list_fold_cascade_on_every_small_function():
+    for n in (1, 2, 3):
+        for entries in itertools.permutations(range(1 << n)):
+            f = TruthVector(entries)
+            assert list(mmd_synthesize(f).gates) == _list_fold_mmd(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 8).flatmap(lambda n: st.permutations(range(1 << n))))
+def test_planes_emit_the_list_fold_cascade(entries):
+    f = TruthVector(entries)
+    assert list(mmd_synthesize(f).gates) == _list_fold_mmd(f)
