@@ -123,51 +123,17 @@ class Gate(namedtuple("Gate", "n target control_mask value_mask", defaults=(0, 0
 # -- the gate-action kernel ----------------------------------------------------
 #
 # A gate flips its target bit in every value v with v & control_mask equal to
-# value_mask.  fold_into and fold_planes evaluate that rule for every caller;
-# the one exception is hypercube._scan, which swaps inline for the
-# full-control gates it emits because that was measured faster than building
-# them first.  On a permutation the firing values pair up: v = value_mask | s
+# value_mask.  On a permutation the firing values pair up, v = value_mask | s
 # and v | flip for every submask s of the lines that are neither controls nor
-# the target, so a gate with k controls on n lines is 2^(n-1-k) swaps, one
-# for a full-control gate.  fold_into walks those submasks and swaps the two
-# values' positions through the inverse, never looking at the other entries.
-# fold_planes runs the rule on a set of words that need not be a permutation,
-# stored as bit planes: plane c is an int whose bit x is bit c of word x, so
-# a gate is one AND per control and one XOR, each over the whole word set.
-# Callers: mmd_synthesize folds its steps and decomposition verification its
-# words with fold_planes; Circuit.apply takes whichever of the two does less
-# work on its cascade; to_planes and from_planes convert a word list.
-
-def fold_into(values: list[int], where: list[int], gates: Iterable[Gate]) -> None:
-    """Apply ``gates`` in order to the permutation ``values``, in place.
-
-    ``where[v]`` must be the position of ``v`` in ``values``; both lists are
-    updated together.  Nothing is checked (:meth:`Circuit.apply` is the
-    checked entry point): the cost is the gates' swap counts alone,
-    2^(n-1-k) for a gate with k controls, not 2^n, so it serves cascades of
-    wide gates such as the hypercube scans' full-control ones.  Gates with
-    few controls are its worst case, since a swap costs about three entry
-    comparisons; ``Circuit.apply`` sends those to :func:`fold_planes`.
-    """
-    full = len(values) - 1
-    for g in gates:
-        flip = 1 << g.target
-        vm = g.value_mask
-        free = full & ~g.control_mask & ~flip
-        s = 0
-        while True:
-            a = vm | s
-            b = a | flip
-            i = where[a]
-            j = where[b]
-            values[i] = b
-            values[j] = a
-            where[a] = j
-            where[b] = i
-            if s == free:
-                break
-            s = (s - free) & free
-
+# the target, so a full-control gate is one swap.  Circuit.apply does that
+# swap through the inverse, and from the first gate with fewer controls folds
+# the rest of the cascade with fold_planes; hypercube._scan swaps inline for
+# the full-control gates it emits, because that was measured faster than
+# building them first.  fold_planes runs the rule on a set of words that need
+# not be a permutation, stored as bit planes: plane c is an int whose bit x is
+# bit c of word x, so a gate is one AND per control and one XOR, each over the
+# whole word set.  mmd_synthesize folds its steps and decomposition
+# verification its words with it; to_planes and from_planes convert a word list.
 
 def fold_planes(planes: list[int], full: int, gates: Iterable[Gate]) -> None:
     """Apply ``gates`` in order to the words held as bit ``planes``, in place.
@@ -290,17 +256,20 @@ class Circuit:
     def apply(self, tv: TruthVector) -> TruthVector:
         if tv.n != self.n:
             raise ValueError(f"line counts differ: circuit {self.n}, vector {tv.n}")
-        # fold_into swaps 2^(n-1-k) pairs for a gate with k controls; fold_planes does about n
-        # big-int operations per gate (at most one per control, and one XOR), plus a conversion
-        # each way.  Few-control gates (mmd's) favour the planes, full-control ones (the
-        # hypercube scans', one swap each) the swaps.
-        n, gates = self.n, self.gates
-        if sum(1 << n - 1 - g.control_mask.bit_count() for g in gates) > n * len(gates):
-            planes = to_planes(tv.entries, n)
-            fold_planes(planes, (1 << len(tv)) - 1, gates)
-            return TruthVector(from_planes(planes, len(tv)))
-        entries = list(tv.entries)
-        fold_into(entries, list(tv.where), gates)
+        # A full-control gate swaps its one value pair; the first gate with fewer controls
+        # sends the rest of the cascade to fold_planes.
+        entries, where = list(tv.entries), list(tv.where)
+        full = len(entries) - 1
+        for k, (_, target, control_mask, value_mask) in enumerate(self.gates):
+            flip = 1 << target
+            if control_mask | flip != full:
+                planes = to_planes(entries, self.n)
+                fold_planes(planes, (1 << len(entries)) - 1, self.gates[k:])
+                return TruthVector(from_planes(planes, len(entries)))
+            b = value_mask | flip
+            i, j = where[value_mask], where[b]
+            entries[i], entries[j] = b, value_mask
+            where[value_mask], where[b] = j, i
         return TruthVector(entries)
 
     def inverse(self) -> "Circuit":
@@ -387,9 +356,9 @@ class GeneratorSet:
     """An enumerated gate family: the generators of one Cayley graph.
 
     ``label`` is "I" (all-positive, any arity) or "H" (full-control, any
-    polarities); the label and ``n`` fix the members, which are built here.
-    Members are generated in canonical order, by target line, then control
-    mask, then value mask, so traversals are deterministic.
+    polarities); the label and ``n`` fix the members, the shared gates of
+    :func:`family_gate`.  Members are in canonical order, by target line,
+    then control mask, then value mask, so traversals are deterministic.
     """
 
     label: str
@@ -400,22 +369,12 @@ class GeneratorSet:
         n = self.n
         if n > ENUMERATE_MAX_LINES:  # n < 1 is refused by check_lines, before the label
             raise ValueError(f"line count {n} out of range [1, {ENUMERATE_MAX_LINES}]")
-        rule = _family_rule(self.label, n)  # target t, then each (n-1)-bit s with a 0 put in at t
-        object.__setattr__(self, "members", tuple(rule(t, s & (1 << t) - 1 | s >> t << t + 1)
-                                                  for t in range(n) for s in range(1 << n - 1)))
+        gate = family_gate(self.label, n)
+        object.__setattr__(self, "members", tuple(gate(t, p) for t in range(n)
+                                                  for p in range(1 << n) if not p >> t & 1))
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _family_rule(label: str, n: int) -> Callable[[int, int], Gate]:
-    """Family ``label``'s gate from a target and a pattern with the target bit clear: the
-    positive controls (C_I), or the controls firing on 1 of a full-control gate (C_H)."""
-    full = check_lines(n) - 1
-    if label not in LABELS:
-        raise ValueError(f"unknown generator set label {label!r} (expected 'I' or 'H')")
-    others = full if label == "H" else 0
-    return lambda target, pattern: Gate(n, target, pattern | others & ~(1 << target), pattern)
 
 
 def enumerate_ci(n: int) -> GeneratorSet:
@@ -430,15 +389,17 @@ def enumerate_ch(n: int) -> GeneratorSet:
 
 @functools.cache
 def family_gate(label: str, n: int) -> Callable[[int, int], Gate]:
-    """``gate(target, pattern)`` as :func:`_family_rule` builds it, but up to ENUMERATE_MAX_LINES
-    the cached set's shared member, at ``target << n-1`` plus the pattern less its target bit.
-    A pattern with the target bit set is refused on both paths, with Gate's own message."""
-    if n > ENUMERATE_MAX_LINES:  # the set cannot be enumerated: each call builds a gate
-        return _family_rule(label, n)
-    members = GeneratorSet(label, n).members
+    """Family ``label``'s ``gate(target, pattern)``: the pattern (target bit clear) is the
+    positive controls of a C_I gate, or the controls firing on 1 of a full-control C_H gate.
 
-    def gate(t: int, p: int) -> Gate:
-        if p >> t & 1:
-            raise ValueError(f"target line {t} cannot also be a control")
-        return members[t << n - 1 | p & (1 << t) - 1 | p >> 1 & -1 << t]
+    Each gate is built once, checked by Gate, and then shared, by a memo as large as the
+    largest enumerable family (n = ENUMERATE_MAX_LINES), so a warm synth call builds none."""
+    full = check_lines(n) - 1
+    if label not in LABELS:
+        raise ValueError(f"unknown generator set label {label!r} (expected 'I' or 'H')")
+    others = full if label == "H" else 0
+
+    @functools.lru_cache(maxsize=ENUMERATE_MAX_LINES << ENUMERATE_MAX_LINES - 1)
+    def gate(target: int, pattern: int) -> Gate:
+        return Gate(n, target, pattern | others & ~(1 << target), pattern)
     return gate

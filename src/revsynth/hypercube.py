@@ -53,8 +53,8 @@ def _scan(f: TruthVector, order: str) -> list[tuple[int, int]]:
             bit = 1 << j
             if (v ^ i) & bit:
                 gates.append((j, v & ~bit))
-                # The gate swaps v and partner.  The only gate action outside
-                # fold_into/fold_planes: swapping inline measured faster.
+                # The gate swaps v and partner, as Circuit.apply swaps a
+                # full-control gate: inline here because it measured faster.
                 partner = v ^ bit
                 other = where[partner]
                 entries[i], entries[other] = partner, v

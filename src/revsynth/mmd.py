@@ -8,8 +8,8 @@ reverse it realizes the function from the identity.  Gate count never exceeds
 
 The working function is held as n bit planes (bit i of plane c is bit c of
 row i's value), so each step's gates run through ``fold_planes``: a gate with
-k controls costs k + 1 big-int operations instead of the 2^(n-1-k) swaps of
-``fold_into``, and a step's switch-on and switch-off runs share their masks.
+k controls costs k + 1 big-int operations over all 2^n rows at once, and a
+step's switch-on and switch-off runs share their masks.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from revsynth import gates
 from revsynth.gates import (
     CACHE_SIZE,
+    ENUMERATE_MAX_LINES,
     LINE_NAMES,
     Circuit,
     Gate,
@@ -706,7 +707,7 @@ def test_fold_planes_reuses_a_fire_set_only_within_a_run(case):
     assert _from_planes(planes, len(words)) == _direct(runs, words)
 
 
-def _narrow(rng: random.Random, n: int) -> Gate:  # NOT or CNOT: 2^(n-1) or 2^(n-2) swaps
+def _narrow(rng: random.Random, n: int) -> Gate:  # NOT or CNOT
     t = rng.randrange(n)
     c = rng.choice([l for l in range(n) if l != t] + [None])
     return Gate(n, t) if c is None else Gate(n, t, 1 << c, rng.getrandbits(1) << c)
@@ -718,20 +719,35 @@ def _full(rng: random.Random, n: int) -> Gate:  # full control: one swap
     return Gate(n, t, cm, rng.getrandbits(n) & cm)
 
 
-@pytest.mark.parametrize("n", [6, 8, 10])
-@pytest.mark.parametrize("build, kernel", [(_narrow, "fold_planes"), (_full, "fold_into")])
-def test_circuit_apply_takes_the_cheaper_kernel(n, build, kernel, monkeypatch):
+def _one_short(rng: random.Random, n: int) -> Gate:  # full control less its lowest other line
+    t = rng.randrange(n)
+    others = (1 << n) - 1 ^ 1 << t
+    cm = others & others - 1
+    return Gate(n, t, cm, rng.getrandbits(n) & cm)
+
+
+@pytest.mark.parametrize("n", [1, 6, 8, 10])
+@pytest.mark.parametrize("builders", [
+    [_full] * 40,
+    [_narrow] * 40,
+    [_full] * 20 + [_one_short] + [_narrow] * 19,
+], ids=["full", "narrow", "full-then-narrow"])
+def test_circuit_apply_swaps_full_control_gates_and_folds_the_rest(n, builders, monkeypatch):
     rng = random.Random(n)
-    c = Circuit(n, [build(rng, n) for _ in range(40)])
+    c = Circuit(n, [build(rng, n) for build in builders])
     start = rng.sample(range(1 << n), 1 << n)
-    called = []
-    for name in ("fold_into", "fold_planes"):
-        def spy(*args, _real=getattr(gates, name), _name=name):
-            called.append(_name)
-            _real(*args)
-        monkeypatch.setattr(gates, name, spy)
+    folded = []
+
+    def spy(planes, full, cascade, _real=gates.fold_planes):
+        folded.append(cascade)
+        _real(planes, full, cascade)
+
+    monkeypatch.setattr(gates, "fold_planes", spy)
     result = c.apply(TruthVector(start))
-    assert called == [kernel]
+    # The first gate that is not full-control starts the one folded suffix.  At n = 1 every
+    # gate is a NOT, whose controls are all of its (no) other lines, so none is folded.
+    first = next((k for k, build in enumerate(builders) if build is not _full), len(builders))
+    assert folded == ([] if n == 1 or first == len(builders) else [c.gates[first:]])
     assert list(result) == _direct(c.gates, start)
 
 
@@ -842,15 +858,29 @@ def test_family_gate_builds_checked_gates_past_the_enumeration_cap(label, n, mon
     monkeypatch.setattr(Gate, "__init__", counting)
     rng = random.Random(n)
     gate = family_gate(label, n)
-    for _ in range(200):
+    gate.cache_clear()  # another test may have built some of these gates already
+    shared: dict[tuple[int, int], Gate] = {}
+    for _ in range(400):
         t = rng.randrange(n)
         p = rng.getrandbits(n) & ~(1 << t)
         before = built
         g = gate(t, p)
-        assert built == before + 1  # a new gate, through Gate.__init__
-        assert g == _rule_gate(label, n, t, p) and g is not gate(t, p)
+        assert built == before + ((t, p) not in shared)  # built once, through Gate.__init__
+        assert g == _rule_gate(label, n, t, p)
+        assert g is gate(t, p) is shared.setdefault((t, p), g)
+    assert len(shared) < 400  # some pairs repeat, so the sharing was tested
     with pytest.raises(ValueError):  # the checks ran: a pattern holding the target is refused
         gate(0, 1)
+
+
+def test_family_gate_memo_is_bounded_by_the_largest_enumerable_family():
+    gate = family_gate("I", 12)
+    assert gate.cache_info().maxsize == ENUMERATE_MAX_LINES << ENUMERATE_MAX_LINES - 1 == 5120
+    calls = [(t, p) for t in range(12) for p in _patterns(12, t)][:6000]
+    for t, p in calls:
+        assert gate(t, p) == _rule_gate("I", 12, t, p)
+    assert gate.cache_info().currsize <= 5120
+    assert gate(*calls[-1]) is gate(*calls[-1])  # the newest gates are still shared
 
 
 @pytest.mark.parametrize("label", ["I", "H"])

@@ -13,6 +13,7 @@ from revsynth.gates import Circuit, Gate, parse_circuit
 from revsynth.hypercube import hc_bidirectional, hc_synthesize
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector
+from test_mmd import reference_mmd
 
 WORKED_INPUT = [7, 4, 1, 0, 3, 2, 6, 5]
 
@@ -179,26 +180,6 @@ def test_exhaustive_s8_sample_slice():
             assert len(circuit) <= 17
 
 
-def _reference_mmd(f: TruthVector) -> Circuit:
-    # The row-step algorithm of mmd_synthesize, refolding every row with a
-    # plain comparison per entry instead of the swap kernel.
-    n = f.n
-    entries = list(f.entries)
-    gates = []
-    for i in range(1 << n):
-        v = entries[i]
-        if v == i:
-            continue
-        step = [Gate(n, j, v, v) for j in range(n) if (i & ~v) >> j & 1]
-        step += [Gate(n, k, i, i) for k in range(n) if (v & ~i) >> k & 1]
-        for g in step:
-            flip = 1 << g.target
-            entries = [x ^ flip if x & g.control_mask == g.value_mask else x for x in entries]
-        gates += step
-    assert entries == list(range(1 << n))
-    return Circuit(n, tuple(gates))
-
-
 def _reference_hc(f: TruthVector, order: str) -> Circuit:
     # The scan of hc_synthesize with no position table: each gate is applied
     # by testing every entry, and the scanned value is reread after it.
@@ -239,7 +220,7 @@ def _reference_bidirectional(f: TruthVector) -> Circuit:
 @given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1 << n))))
 def test_fast_synthesizers_equal_their_reference(entries):
     f = TruthVector(entries)
-    assert mmd_synthesize(f) == _reference_mmd(f)
+    assert mmd_synthesize(f) == reference_mmd(f)
     assert hc_bidirectional(f) == _reference_bidirectional(f)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revsynth.gates import Circuit, Gate, fold_into, toffoli
+from revsynth.gates import Circuit, Gate, toffoli
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector
 
@@ -130,32 +130,35 @@ def test_exhaustive_s8_sample_slice():
         assert len(circuit) <= 17
 
 
-def _list_fold_mmd(f: TruthVector) -> list[Gate]:
-    # The same step rule on a value list: read row i by index, fold each step's swaps.
-    n, size = f.n, len(f)
-    entries, where = list(f.entries), list(f.where)
-    gates: list[Gate] = []
-    for i in range(size):
+def reference_mmd(f: TruthVector) -> Circuit:
+    # The row-step algorithm of mmd_synthesize on a value list: each row is read
+    # by index and each gate refolds the list with a plain comparison per entry.
+    n = f.n
+    entries = list(f.entries)
+    gates = []
+    for i in range(1 << n):
         v = entries[i]
         if v == i:
             continue
         step = [Gate(n, j, v, v) for j in range(n) if (i & ~v) >> j & 1]
         step += [Gate(n, k, i, i) for k in range(n) if (v & ~i) >> k & 1]
-        fold_into(entries, where, step)
+        for g in step:
+            flip = 1 << g.target
+            entries = [x ^ flip if x & g.control_mask == g.value_mask else x for x in entries]
         gates += step
-    assert entries == list(range(size))
-    return gates
+    assert entries == list(range(1 << n))
+    return Circuit(n, tuple(gates))
 
 
 def test_planes_emit_the_list_fold_cascade_on_every_small_function():
     for n in (1, 2, 3):
         for entries in itertools.permutations(range(1 << n)):
             f = TruthVector(entries)
-            assert list(mmd_synthesize(f).gates) == _list_fold_mmd(f)
+            assert mmd_synthesize(f) == reference_mmd(f)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(4, 8).flatmap(lambda n: st.permutations(range(1 << n))))
 def test_planes_emit_the_list_fold_cascade(entries):
     f = TruthVector(entries)
-    assert list(mmd_synthesize(f).gates) == _list_fold_mmd(f)
+    assert mmd_synthesize(f) == reference_mmd(f)
