@@ -123,7 +123,8 @@ class CostReport:
             f"garbage policy: {self.policy.value}",
             f"{'gate':>4}  {'size':>4}  {'neg':>3}  {'cost':>4}",
         ]
-        lines.extend(f"{i:>4}  {s:>4}  {m:>3}  {c:>4}" for i, (s, m, c) in enumerate(self.rows, 1))
+        suffix = {row: "  %4d  %3d  %4d" % row for row in set(self.rows)}  # each distinct row once
+        lines.extend(["%4d" % i + suffix[row] for i, row in enumerate(self.rows, 1)])
         lines.append(f"gate count: {self.gate_count} (bound {self.gate_bound})")
         lines.append(f"quantum cost: {self.quantum_cost} (bound {self.qc_bound})")
         lines.extend(f"note: {note}" for note in self.notes)

@@ -129,29 +129,40 @@ class Gate(namedtuple("Gate", "n target control_mask value_mask", defaults=(0, 0
 # swap through the inverse, and from the first gate with fewer controls folds
 # the rest of the cascade with fold_planes; hypercube._scan swaps inline for
 # the full-control gates it emits, because that was measured faster than
-# building them first.  fold_planes runs the rule on a set of words that need
-# not be a permutation, stored as bit planes: plane c is an int whose bit x is
-# bit c of word x, so a gate is one AND per control and one XOR, each over the
-# whole word set.  mmd_synthesize folds its steps and decomposition
-# verification its words with it; to_planes and from_planes convert a word list.
+# building them first.  On a set of words that need not be a permutation,
+# stored as bit planes (plane c is an int whose bit x is bit c of word x), a
+# gate is one XOR of its firing set into the target plane, and firing_set is
+# one AND per control, each over the whole word set.  A gate never controls
+# its own target, so a run of gates with equal masks shares one firing set.
+# fold_planes folds a cascade that way, for Circuit.apply and decomposition
+# verification; mmd_synthesize calls firing_set once per run of a step and
+# XORs it in itself.  to_planes and from_planes convert a word list.
+
+def firing_set(planes: list[int], full: int, control_mask: int, value_mask: int) -> int:
+    """The words, as one plane, whose bits equal ``value_mask`` on ``control_mask``'s lines.
+
+    ``full`` has one set bit per word.  A control firing on 0 ANDs with
+    ``full ^ plane``: ``~plane`` is a negative int, and ANDing with one
+    measured about 20 times slower.
+    """
+    fire = full
+    while control_mask:
+        c = (control_mask & -control_mask).bit_length() - 1
+        fire &= planes[c] if value_mask >> c & 1 else full ^ planes[c]
+        control_mask &= control_mask - 1
+    return fire
+
 
 def fold_planes(planes: list[int], full: int, gates: Iterable[Gate]) -> None:
     """Apply ``gates`` in order to the words held as bit ``planes``, in place.
 
-    ``full`` has one set bit per word.  A control firing on 0 ANDs with
-    ``full ^ plane``: ``~plane`` is a negative int, and ANDing with one
-    measured about 20 times slower.  The firing set is computed once per run
-    of gates with equal masks: a gate never controls its own target, so the
-    earlier gates of such a run left every control plane as it was.
+    The firing set is computed once per run of gates with equal masks.
     """
     cm = vm = -1
     for _, target, control_mask, value_mask in gates:
         if control_mask != cm or value_mask != vm:
-            cm, vm, fire, rest = control_mask, value_mask, full, control_mask
-            while rest:
-                c = (rest & -rest).bit_length() - 1
-                fire &= planes[c] if vm >> c & 1 else full ^ planes[c]
-                rest &= rest - 1
+            cm, vm = control_mask, value_mask
+            fire = firing_set(planes, full, cm, vm)
         planes[target] ^= fire
 
 

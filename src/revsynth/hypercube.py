@@ -10,6 +10,8 @@ at most (n-1)*2^n + 1 gates.
 
 from __future__ import annotations
 
+import itertools
+
 from .gates import Circuit, family_gate
 from .perm import TruthVector
 
@@ -49,17 +51,18 @@ def _scan(f: TruthVector, order: str) -> list[tuple[int, int]]:
         v = entries[i]
         if v == i:
             continue
-        for j in range(n):
-            bit = 1 << j
-            if (v ^ i) & bit:
-                gates.append((j, v & ~bit))
-                # The gate swaps v and partner, as Circuit.apply swaps a
-                # full-control gate: inline here because it measured faster.
-                partner = v ^ bit
-                other = where[partner]
-                entries[i], entries[other] = partner, v
-                where[partner], where[v] = i, other
-                v = partner
+        differ = v ^ i
+        while differ:  # the differing bits, lowest first
+            bit = differ & -differ
+            differ ^= bit
+            gates.append((bit.bit_length() - 1, v & ~bit))
+            # The gate swaps v and partner, as Circuit.apply swaps a
+            # full-control gate: inline here because it measured faster.
+            partner = v ^ bit
+            other = where[partner]
+            entries[i], entries[other] = partner, v
+            where[partner], where[v] = i, other
+            v = partner
 
     if entries != list(range(size)):
         raise RuntimeError("synthesis failed to reach the identity")
@@ -68,4 +71,4 @@ def _scan(f: TruthVector, order: str) -> list[tuple[int, int]]:
 
 def _circuit(n: int, pairs: list[tuple[int, int]]) -> Circuit:
     gate = family_gate("H", n)
-    return Circuit(n, tuple(gate(t, p) for t, p in pairs))
+    return Circuit(n, tuple(itertools.starmap(gate, pairs)))

@@ -7,16 +7,16 @@ reverse it realizes the function from the identity.  Gate count never exceeds
 (n-1)*2^n + 1.
 
 The working function is held as n bit planes (bit i of plane c is bit c of
-row i's value), so each step's gates run through ``fold_planes``: a gate with
-k controls costs k + 1 big-int operations over all 2^n rows at once, and a
-step's switch-on and switch-off runs share their masks.
+row i's value).  A step is two runs of gates with equal masks, so each
+non-empty run costs one ``firing_set`` (one big-int AND per control, over all
+2^n rows at once) and then one XOR per flipped bit.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .gates import Circuit, Gate, family_gate, fold_planes, input_planes, to_planes
+from .gates import Circuit, Gate, family_gate, firing_set, input_planes, to_planes
 from .perm import TruthVector
 
 # The self-check's target, kept for the last n: `enumerate` synthesizes every function at one n.
@@ -51,11 +51,16 @@ def mmd_synthesize(f: TruthVector) -> Circuit:
             v = v << 1 | plane >> i & 1
         if v == i:
             continue
-        # Bits to switch on, controlled on v, then bits to switch off, controlled on i.
-        step = [gate(j, pattern) for pattern, flips in ((v, i & ~v), (i, v & ~i))
-                for j in range(n) if flips >> j & 1]
-        fold_planes(planes, full, step)
-        gates += step
+        # Bits to switch on, controlled on v, then bits to switch off, controlled on i; the
+        # second run's firing set is taken after the first run's flips.
+        for pattern, flips in ((v, i & ~v), (i, v & ~i)):
+            if flips:
+                fire = firing_set(planes, full, pattern, pattern)
+                while flips:
+                    j = (flips & -flips).bit_length() - 1
+                    planes[j] ^= fire
+                    gates.append(gate(j, pattern))
+                    flips &= flips - 1
 
     if planes != _identity_planes(n):
         raise RuntimeError("synthesis failed to reach the identity")

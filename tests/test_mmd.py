@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revsynth import mmd
 from revsynth.gates import Circuit, Gate, toffoli
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector
@@ -162,3 +163,36 @@ def test_planes_emit_the_list_fold_cascade_on_every_small_function():
 def test_planes_emit_the_list_fold_cascade(entries):
     f = TruthVector(entries)
     assert mmd_synthesize(f) == reference_mmd(f)
+
+
+def _masks(g: Gate) -> tuple[int, int]:
+    return g.control_mask, g.value_mask
+
+
+def _assert_one_firing_set_per_run(entries_list, monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+
+    def spy(planes, full, control_mask, value_mask, _real=mmd.firing_set):
+        calls.append((control_mask, value_mask))
+        return _real(planes, full, control_mask, value_mask)
+
+    monkeypatch.setattr(mmd, "firing_set", spy)
+    for entries in entries_list:
+        calls.clear()
+        circuit = mmd_synthesize(TruthVector(entries))
+        # The runs are the cascade's maximal groups of equal masks: a step's switch-off run is
+        # never empty (v > i is no submask of i), its pattern i differs from the switch-on
+        # pattern v, and every pattern of a later step exceeds i.
+        assert calls == [masks for masks, _ in itertools.groupby(circuit.gates, _masks)]
+
+
+def test_each_run_computes_its_firing_set_once_on_every_small_function(monkeypatch):
+    every = itertools.chain.from_iterable(itertools.permutations(range(1 << n)) for n in (1, 2, 3))
+    _assert_one_firing_set_per_run(every, monkeypatch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 8).flatmap(lambda n: st.permutations(range(1 << n))))
+def test_each_run_computes_its_firing_set_once(entries):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_one_firing_set_per_run([entries], monkeypatch)
