@@ -26,6 +26,7 @@ the working set stays under about a megabyte whatever a level's size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from .gates import LABELS, Circuit, GeneratorSet
-from .perm import TruthVector, check_lines, rank_entries, unrank_entries
+from .perm import TruthVector, check_lines, rank_entries
 
 if TYPE_CHECKING:  # numpy is imported on first use, by the functions that need it
     import numpy as np
@@ -94,22 +95,6 @@ class BfsResult:
         return header + self.distances
 
 
-_CACHE: dict[tuple[str, int], BfsResult] = {}
-
-
-def bfs(gen_set: GeneratorSet) -> BfsResult:
-    """Single-source BFS from the identity over the generator set's graph.
-
-    Neighbor order follows the set's canonical member order, so results are
-    deterministic.  Results are cached per (label, n), which fix the members.
-    """
-    check_bfs_lines(gen_set.n)
-    key = (gen_set.label, gen_set.n)
-    if key not in _CACHE:
-        _CACHE[key] = _bfs_run(gen_set)
-    return _CACHE[key]
-
-
 _UNSEEN = 255
 # Frontier rows expanded at once.  With g generators a chunk holds
 # _CHUNK * g candidate rows, about 0.2 MB of uint8 entries plus their int32
@@ -140,7 +125,15 @@ def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
+@functools.cache  # keyed on the frozen set: its (label, n) fix the members
+def bfs(gen_set: GeneratorSet) -> BfsResult:
+    """Single-source BFS from the identity over the generator set's graph.
+
+    Neighbor order follows the set's canonical member order, so results are
+    deterministic.  Results are memoized per generator set and a refusal is
+    never kept; ``bfs.cache_clear()`` empties the memo.
+    """
+    check_bfs_lines(gen_set.n)
     import numpy as np
     n = gen_set.n
     size = 1 << n
@@ -188,7 +181,7 @@ def _bfs_run(gen_set: GeneratorSet) -> BfsResult:
 
     odd_walk = None
     if conflict is not None:
-        odd_walk = _closed_walk(conflict, parent_rank, dist, size)
+        odd_walk = _closed_walk(conflict, parent_rank, dist, n)
     return BfsResult(gen_set.label, n, dist.tobytes(), histogram, conflict is None, odd_walk)
 
 
@@ -196,7 +189,7 @@ def _closed_walk(
     conflict: tuple[int, int],
     parent_rank: np.ndarray,
     dist: np.ndarray,
-    size: int,
+    n: int,
 ) -> tuple[TruthVector, ...]:
     """Join the BFS paths of a same-level edge into an odd closed walk."""
 
@@ -211,7 +204,7 @@ def _closed_walk(
     up = path_to_root(ru)[::-1]  # identity ... u
     down = path_to_root(rv)  # v ... identity
     walk = up + down
-    return tuple(TruthVector(unrank_entries(int(r), size)) for r in walk)
+    return tuple(TruthVector.unrank(int(r), n) for r in walk)
 
 
 def distance(tv: TruthVector, gen_set: GeneratorSet) -> int:

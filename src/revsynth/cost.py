@@ -75,16 +75,17 @@ def worst_case_qc(
     The gate-count bound (n-1)*2^n + 1 is multiplied by :func:`cost_of` for
     a size-n library gate.  ``graph`` selects the library: "I" prices
     all-positive gates, "H" full-control mixed-polarity gates, for which the
-    zero-garbage policy needs the negative-control count ``m`` and the
-    garbage policies price the costlier mixed-polarity form.
+    zero-garbage policy needs the negative-control count ``m`` (refused
+    anywhere else) and the garbage policies price the costlier form.
     """
     if graph not in LABELS:
-        raise ValueError(f"unknown graph {graph!r} (expected 'I' or 'H')")
+        raise ValueError(f"unknown graph {graph!r} (expected {' or '.join(map(repr, LABELS))})")
     zero = policy is GarbagePolicy.ZERO
     if zero and n < 2:
         raise ValueError("zero-garbage cost formula needs n >= 2")
-    if graph == "H" and zero and m is None:
-        raise ValueError("graph H with zero garbage needs the negative-control count m")
+    if (m is None) == (graph == "H" and zero):
+        raise ValueError("graph H with zero garbage needs the negative-control count m, "
+                         "and no other graph or policy takes one")
     negatives = 0 if graph == "I" else m if zero else 1
     # cost_of first: it refuses a bad n, m or policy size before n is shifted.
     return cost_of(n, negatives, policy) * synthesis_gate_bound(n)

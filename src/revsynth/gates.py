@@ -407,7 +407,8 @@ def family_gate(label: str, n: int) -> Callable[[int, int], Gate]:
     largest enumerable family (n = ENUMERATE_MAX_LINES), so a warm synth call builds none."""
     full = check_lines(n) - 1
     if label not in LABELS:
-        raise ValueError(f"unknown generator set label {label!r} (expected 'I' or 'H')")
+        expected = " or ".join(map(repr, LABELS))
+        raise ValueError(f"unknown generator set label {label!r} (expected {expected})")
     others = full if label == "H" else 0
 
     @functools.lru_cache(maxsize=ENUMERATE_MAX_LINES << ENUMERATE_MAX_LINES - 1)

@@ -276,7 +276,7 @@ def test_numpy_bfs_matches_sequential_reference(label, n, chunk, monkeypatch):
         monkeypatch.setattr(cayley, "_CHUNK", chunk)
     gen = GeneratorSet(label, n)
     dist, parent_rank, conflict = _reference_bfs(gen)
-    result = cayley._bfs_run(gen)
+    result = cayley.bfs.__wrapped__(gen)  # the uncached run
     assert result.distances == dist
     assert result.bipartite == (conflict is None)
     if conflict is None:
@@ -291,7 +291,7 @@ def test_numpy_bfs_matches_sequential_reference(label, n, chunk, monkeypatch):
 
 @pytest.mark.parametrize("label", ["I", "H"])
 def test_cold_bfs_is_vectorized(label):
-    cayley._CACHE.pop((label, 3), None)
+    cayley.bfs.cache_clear()
     started = time.perf_counter()
     result = bfs(GeneratorSet(label, 3))
     # The per-edge Python loop takes about 3.5 s here.
@@ -328,11 +328,33 @@ def test_refusals_never_format_the_vertex_count():
 
 
 def test_generator_set_cannot_poison_the_bfs_cache():
-    cayley._CACHE.pop(("I", 2), None)
+    cayley.bfs.cache_clear()
     with pytest.raises(TypeError):
         GeneratorSet("I", 2, enumerate_ch(2).members)
     assert bfs(GeneratorSet("I", 2)).bipartite is False
     assert bfs(enumerate_ci(2)).bipartite is False
+
+
+def test_warm_lookups_skip_the_line_check_and_refusals_are_not_kept(monkeypatch):
+    bfs.cache_clear()
+    sets = [enumerate_ci(2), enumerate_ch(2)]
+    for gen in sets:
+        bfs(gen)  # cold: checked once, then kept
+    calls = []
+    real_check = cayley.check_bfs_lines
+    monkeypatch.setattr(cayley, "check_bfs_lines", lambda n: calls.append(n) or real_check(n))
+    size = bfs.cache_info().currsize
+    rng = random.Random(27)
+    vectors = [TruthVector(rng.sample(range(4), 4)) for _ in range(1000)]
+    for gen in sets:
+        for tv in vectors:
+            distance(tv, gen)
+    assert calls == []
+    for _ in range(2):  # refused on every call, and never stored
+        with pytest.raises(ValueError, match="20922789888000"):
+            bfs(GeneratorSet("I", 4))
+    assert calls == [4, 4]
+    assert bfs.cache_info().currsize == size
 
 
 def test_dump_round_trip():

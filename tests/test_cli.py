@@ -1,5 +1,6 @@
 """Exercise every subcommand through main(argv) plus one real subprocess."""
 
+import dataclasses
 import json
 import random
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from revsynth import cli
+from revsynth import cli, mmd
 from revsynth.cli import main
 from revsynth.gates import Circuit, Gate, parse_circuit
 from revsynth.perm import TruthVector
@@ -204,6 +205,31 @@ def test_internal_error_exits_three(monkeypatch, capsys, example_vector):
     assert captured.out == ""
     assert captured.err.startswith("error: internal: ")
     assert captured.err.count("\n") == 1
+
+
+def test_synthesis_self_check_failure_exits_three(monkeypatch, capsys, example_vector):
+    monkeypatch.setattr(mmd, "firing_set", lambda *args: 0)  # every gate fires on no row
+    assert main(["synth", "--algo", "mmd", "--in", str(example_vector)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: internal: synthesis failed to reach the identity\n")
+
+
+def test_decompose_verify_failure_exits_three(tmp_path, monkeypatch, capsys):
+    circ = tmp_path / "t6.tfc"
+    circ.write_text(".n 6\nt6 a,b,c,d,e,f\n")
+    real_expand = cli.expand_circuit
+
+    def drop_last_gate(circuit, strategy):
+        expansion = real_expand(circuit, strategy)
+        gates = expansion.gates
+        return dataclasses.replace(expansion, gates=Circuit(gates.n, gates.gates[:-1]))
+
+    monkeypatch.setattr(cli, "expand_circuit", drop_last_gate)
+    assert main(["decompose", "--circuit", str(circ), "--strategy", "zeroed", "--verify"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: internal: expansion failed verification at input 3\n")
 
 
 def test_out_of_memory_exits_three(tmp_path):

@@ -149,7 +149,7 @@ def test_worst_case_requires_m_for_h_zero():
 
 
 def test_worst_case_rejections():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown graph 'X' \(expected 'I' or 'H'\)$"):
         worst_case_qc(3, "X", ZERO)
     with pytest.raises(ValueError):
         worst_case_qc(4, "I", ONE)
@@ -158,6 +158,11 @@ def test_worst_case_rejections():
     # The policy's size floor is named, not the count worst_case_qc chose.
     with pytest.raises(ValueError, match="size >= 5"):
         worst_case_qc(1, "H", ONE)
+    # m prices only graph H under zero garbage; anywhere else it is refused, not ignored.
+    with pytest.raises(ValueError, match="graph H with zero garbage"):
+        worst_case_qc(3, "I", ZERO, m=2)
+    with pytest.raises(ValueError, match="graph H with zero garbage"):
+        worst_case_qc(6, "H", ONE, m=0)
 
 
 def test_cost_report_refuses_a_zero_line_circuit():

@@ -160,6 +160,8 @@ def test_split_matches_reference_instance():
 def test_split_needs_free_line():
     with pytest.raises(ValueError, match="free line"):
         split_one_borrowed(full_control(6, 5))
+    with pytest.raises(ValueError, match="^split needs gate size >= 5, got 4$"):
+        split_one_borrowed(toffoli(5, range(3), 3))  # line 4 is free, but the gate is too small
 
 
 def test_split_halves_sizes():

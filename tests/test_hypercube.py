@@ -62,6 +62,16 @@ def test_identity_needs_no_gates():
     assert len(hc_bidirectional(TruthVector.identity(3))) == 0
 
 
+@pytest.mark.parametrize("synthesize", [
+    lambda f: hc_synthesize(f, "right"), lambda f: hc_synthesize(f, "left"), hc_bidirectional,
+])
+def test_a_scan_that_misses_the_identity_is_an_internal_failure(synthesize):
+    tv = TruthVector(WORKED_INPUT)
+    object.__setattr__(tv, "where", tv.where[::-1])  # a corrupt inverse misdirects the swaps
+    with pytest.raises(RuntimeError, match="^synthesis failed to reach the identity$"):
+        synthesize(tv)
+
+
 def test_extremal_gate_counts_right():
     assert len(hc_synthesize(TruthVector([5, 2, 7, 4, 1, 6, 3, 0]), "right")) == 17
     n4 = [5, 10, 7, 4, 9, 14, 11, 8, 13, 2, 15, 12, 1, 6, 3, 0]

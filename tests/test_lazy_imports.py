@@ -33,6 +33,17 @@ def test_import_loads_no_numpy(module):
     assert run_python(f"import {module}\nprint('numpy' in sys.modules)") == ["False"]
 
 
+def test_cli_import_loads_exactly_its_modules():
+    # Every CLI process pays to import (and, with no bytecode cached, compile) these; a module
+    # added here, or the numpy-backed ``elementary`` loaded eagerly, shows up as startup time.
+    lines = run_python(
+        "import revsynth.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'revsynth'))"
+    )
+    assert lines == [str(sorted(["revsynth"] + [f"revsynth.{name}" for name in (
+        "cayley", "cli", "cost", "decompose", "gates", "hypercube", "mmd", "perm")]))]
+
+
 def test_numpy_free_subcommands_load_no_numpy():
     lines = run_python(
         "from revsynth import cli\n"

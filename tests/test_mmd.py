@@ -58,6 +58,12 @@ def test_identity_needs_no_gates():
         assert len(mmd_synthesize(TruthVector.identity(n))) == 0
 
 
+def test_a_cascade_that_misses_the_identity_is_an_internal_failure(monkeypatch):
+    monkeypatch.setattr(mmd, "firing_set", lambda *args: 0)  # every gate fires on no row
+    with pytest.raises(RuntimeError, match="^synthesis failed to reach the identity$"):
+        mmd_synthesize(TruthVector(WORKED_INPUT))
+
+
 def test_extremal_gate_counts():
     assert len(mmd_synthesize(TruthVector([7, 1, 4, 3, 0, 2, 6, 5]))) == 17
     n4 = [15, 1, 12, 3, 5, 6, 8, 7, 0, 10, 13, 9, 2, 4, 14, 11]

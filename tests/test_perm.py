@@ -14,6 +14,9 @@ def test_identity_vectors():
     assert tuple(TruthVector.identity(1)) == (0, 1)
     assert tuple(TruthVector.identity(2)) == (0, 1, 2, 3)
     assert tuple(TruthVector.identity(3)) == (0, 1, 2, 3, 4, 5, 6, 7)
+    # A vector equals only vectors: against its own entries == answers NotImplemented, so False.
+    assert TruthVector.identity(1).__eq__((0, 1)) is NotImplemented
+    assert (TruthVector([0, 1]) == (0, 1)) is False
 
 
 def test_reverse_vectors():
@@ -104,6 +107,8 @@ def test_hamming_counts_differing_bits():
     x = TruthVector([0, 1, 2, 7, 4, 5, 6, 3])
     assert x.hamming(TruthVector.identity(3)) == 2
     assert x.hamming(x) == 0
+    with pytest.raises(ValueError, match="^line counts differ: 3 != 2$"):
+        x.hamming(TruthVector.identity(2))
 
 
 def test_hamming_metric_properties():
@@ -211,6 +216,8 @@ def test_text_round_trip_and_comments():
     tv = TruthVector.from_text(text)
     assert tuple(tv) == (7, 4, 1, 0, 3, 2, 6, 5)
     assert TruthVector.from_text(tv.to_text()) == tv
+    assert repr(tv) == "TruthVector([7 4 1 0 3 2 6 5])"
+    assert str(tv) == "7 4 1 0 3 2 6 5"
 
 
 def test_text_parse_errors():
