@@ -182,7 +182,8 @@ def test_generator_counts(n, expected):
 def test_generator_set_is_fixed_by_label_and_n():
     with pytest.raises(TypeError):
         GeneratorSet("I", 2, enumerate_ch(2).members)
-    with pytest.raises(ValueError, match=r"^unknown generator set label 'X' \(expected 'I' or 'H'\)$"):
+    expected = r"^unknown generator set label 'X' \(expected 'I' or 'H'\)$"
+    with pytest.raises(ValueError, match=expected):
         GeneratorSet("X", 2)
     with pytest.raises(ValueError, match=r"line count 11 out of range \[1, 10\]"):
         GeneratorSet("I", 11)
