@@ -179,10 +179,11 @@ def input_planes(bits: int) -> list[int]:
     return planes
 
 
-# to_planes and from_planes pack each word into one native unsigned long (at least 32 bits),
-# low byte first, so byte c // 8 of every word is one strided slice of the packed bytes.
+# to_planes and from_planes pack each word into one native unsigned long (at least 32 bits), so
+# byte c // 8 of every word is one strided slice of the packed bytes.  It starts at that byte's
+# offset in a native word, c >> 3 ^ _BYTE_FLIP: c >> 3 low byte first, mirrored high byte first.
 _WORD_BYTES = array("L").itemsize
-_LOW_FIRST = sys.byteorder == "little"
+_BYTE_FLIP = 0 if sys.byteorder == "little" else _WORD_BYTES - 1
 _BIT_CHARS = tuple(bytes(48 | b >> k & 1 for b in range(256)) for k in range(8))  # bit k: "0"/"1"
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" characters to 0/1 bytes
 
@@ -196,10 +197,9 @@ def to_planes(words: Sequence[int], bits: int) -> list[int]:
     """
     packed = array("L", words)
     packed.reverse()
-    if not _LOW_FIRST:
-        packed.byteswap()
     raw = packed.tobytes()
-    return [int(raw[c >> 3::_WORD_BYTES].translate(_BIT_CHARS[c & 7]), 2) for c in range(bits)]
+    return [int(raw[c >> 3 ^ _BYTE_FLIP::_WORD_BYTES].translate(_BIT_CHARS[c & 7]), 2)
+            for c in range(bits)]
 
 
 def from_planes(planes: list[int], count: int) -> list[int]:
@@ -207,12 +207,10 @@ def from_planes(planes: list[int], count: int) -> list[int]:
     raw = bytearray(_WORD_BYTES * count)
     for c, plane in enumerate(planes):  # one 0/1 byte per word, ORed into byte c // 8 of each
         bit = int.from_bytes(format(plane, f"0{count}b").encode().translate(_BIT_VALUES), "big")
-        byte = int.from_bytes(raw[c >> 3::_WORD_BYTES], "little") | bit << (c & 7)
-        raw[c >> 3::_WORD_BYTES] = byte.to_bytes(count, "little")
-    packed = array("L", raw)
-    if not _LOW_FIRST:
-        packed.byteswap()
-    return packed.tolist()
+        at = c >> 3 ^ _BYTE_FLIP
+        byte = int.from_bytes(raw[at::_WORD_BYTES], "little") | bit << (c & 7)
+        raw[at::_WORD_BYTES] = byte.to_bytes(count, "little")
+    return array("L", raw).tolist()
 
 
 def _lines(mask: int) -> frozenset[int]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revsynth.cayley as cayley
+from reference import member_perms, reference_bfs
 from revsynth.cayley import (
     DUMP_MAGIC,
     DistanceHistogram,
@@ -21,17 +22,7 @@ from revsynth.cayley import (
 from revsynth.gates import GeneratorSet, enumerate_ch, enumerate_ci
 from revsynth.hypercube import hc_synthesize
 from revsynth.mmd import mmd_synthesize
-from revsynth.perm import TruthVector, rank_entries
-
-
-def _perms(gen_set: GeneratorSet) -> list[TruthVector]:
-    """The members' permutations from the firing rule itself, not from the
-    gate-action kernel the BFS builds its generator table with."""
-    return [
-        TruthVector([v ^ (1 << g.target) if v & g.control_mask == g.value_mask else v
-                     for v in range(1 << g.n)])
-        for g in gen_set.members
-    ]
+from revsynth.perm import TruthVector
 
 
 # Exhaustively computed once with this module's BFS and frozen as a
@@ -103,9 +94,9 @@ def test_h3_regression_fixture():
 def test_distance_examples():
     ch3 = enumerate_ch(3)
     assert distance(TruthVector.identity(3), ch3) == 0
-    assert distance(_perms(ch3)[5], ch3) == 1
+    assert distance(member_perms(ch3)[5], ch3) == 1
     ci3 = enumerate_ci(3)
-    assert distance(_perms(ci3)[3], ci3) == 1
+    assert distance(member_perms(ci3)[3], ci3) == 1
 
 
 def test_distance_refuses_a_line_count_other_than_the_librarys():
@@ -151,7 +142,7 @@ def test_i_graphs_not_bipartite_with_valid_witness():
         assert walk is not None
         assert walk[0] == walk[-1] == TruthVector.identity(n)
         assert (len(walk) - 1) % 2 == 1
-        perms = set(_perms(gen))
+        perms = set(member_perms(gen))
         for a, b in zip(walk, walk[1:]):
             assert b.compose(a.inverse()) in perms  # edge via one generator
 
@@ -173,7 +164,7 @@ def test_published_five_cycle_in_i2():
         TruthVector([0, 1, 3, 2]),
         TruthVector([2, 3, 0, 1]),
     ]
-    library = set(_perms(enumerate_ci(2)))
+    library = set(member_perms(enumerate_ci(2)))
     assert all(step in library for step in steps)
     cur = vertices[0]
     seen = [cur]
@@ -193,7 +184,7 @@ def test_same_level_edges_only_in_i_graph():
         for entries in itertools.permutations(range(4)):
             u = TruthVector(entries)
             du = distance(u, gen)
-            for p in _perms(gen):
+            for p in member_perms(gen):
                 dv = distance(p.compose(u), gen)
                 assert abs(du - dv) <= 1
                 flat = flat or du == dv
@@ -228,39 +219,6 @@ def test_hamming_audit_report_is_pinned():
     )
 
 
-def _reference_bfs(gen_set):
-    """One edge at a time, in (frontier vertex, generator) order: the
-    sequential loop the numpy BFS must reproduce exactly."""
-    size = 1 << gen_set.n
-    gen_perms = [tuple(p.entries) for p in _perms(gen_set)]
-    total = 1
-    for k in range(2, size + 1):
-        total *= k
-    unseen = 255
-    dist = bytearray([unseen]) * total
-    parent_rank = [0] * total
-    dist[0] = 0
-    frontier = [(tuple(range(size)), 0)]
-    conflict = None
-    depth = 0
-    while frontier:
-        nxt = []
-        for cur, r in frontier:
-            for gp in gen_perms:
-                new = tuple(gp[x] for x in cur)
-                nr = rank_entries(new)
-                d = dist[nr]
-                if d == unseen:
-                    dist[nr] = depth + 1
-                    parent_rank[nr] = r
-                    nxt.append((new, nr))
-                elif d == depth and conflict is None:
-                    conflict = (r, nr)
-        frontier = nxt
-        depth += 1
-    return bytes(dist), parent_rank, conflict
-
-
 def _chain(r, dist, parent_rank):
     ranks = [r]
     while dist[r] != 0:
@@ -275,7 +233,7 @@ def test_numpy_bfs_matches_sequential_reference(label, n, chunk, monkeypatch):
     if chunk is not None:  # many chunks per level, so marks must carry across them
         monkeypatch.setattr(cayley, "_CHUNK", chunk)
     gen = GeneratorSet(label, n)
-    dist, parent_rank, conflict = _reference_bfs(gen)
+    dist, parent_rank, conflict = reference_bfs(gen)  # built once per set, kept for both chunks
     result = cayley.bfs.__wrapped__(gen)  # the uncached run
     assert result.distances == dist
     assert result.bipartite == (conflict is None)
@@ -308,7 +266,7 @@ def test_synthesis_never_beats_bfs_distance():
         assert len(hc_synthesize(tv, "right")) >= distance(tv, ch3)
     # equality at distance <= 1
     assert len(mmd_synthesize(TruthVector.identity(3))) == 0
-    assert len(hc_synthesize(_perms(ch3)[0], "right")) == 1
+    assert len(hc_synthesize(member_perms(ch3)[0], "right")) == 1
 
 
 def test_line_cap_refusal_names_the_state_count():
@@ -369,7 +327,7 @@ def test_dump_round_trip():
 
 def test_shared_bfs_results_are_read_only():
     gen = enumerate_ci(2)
-    tv = _perms(gen)[0]
+    tv = member_perms(gen)[0]
     before = distance(tv, gen)
     result = bfs(gen)
     with pytest.raises(TypeError):

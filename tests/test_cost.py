@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from reference import reference_cost
 from revsynth import cost
 from revsynth.cost import (
     GarbagePolicy,
@@ -215,29 +216,19 @@ def test_policy_from_flag():
         GarbagePolicy("2")
 
 
-def _reference_cost(size: int, negatives: int, policy: GarbagePolicy) -> int:
-    # The module docstring's table and formulas, restated without cost_of.
-    if policy is ZERO:
-        table = {1: 1, 2: 1 if negatives == 0 else 2, 3: 5 if negatives <= 1 else 7}
-        return table.get(size, (1 << size) - 3 + 2 * negatives)
-    if policy is ONE:
-        return 24 * size - (88 if negatives == 0 else 86)
-    return 10 * size - (25 if negatives == 0 else 23)
-
-
 @pytest.mark.parametrize("n", range(1, 25))
 def test_cost_bounds_keep_their_values_over_the_line_range(n):
     bound = (n - 1) * (1 << n) + 1
     assert synthesis_gate_bound(n) == bound
     policies = (ZERO, ONE, NM3) if n >= 5 else (ZERO,)
     for policy in policies:
-        assert costliest_gate(n, policy) == max(_reference_cost(n, m, policy) for m in range(n))
+        assert costliest_gate(n, policy) == max(reference_cost(n, m, policy) for m in range(n))
     if n >= 5:
-        assert worst_case_qc(n, "I", ONE) == bound * _reference_cost(n, 0, ONE)
-        assert worst_case_qc(n, "H", NM3) == bound * _reference_cost(n, 1, NM3)
+        assert worst_case_qc(n, "I", ONE) == bound * reference_cost(n, 0, ONE)
+        assert worst_case_qc(n, "H", NM3) == bound * reference_cost(n, 1, NM3)
     if n >= 2:
-        assert worst_case_qc(n, "I", ZERO) == bound * _reference_cost(n, 0, ZERO)
-        assert worst_case_qc(n, "H", ZERO, m=n - 1) == bound * _reference_cost(n, n - 1, ZERO)
+        assert worst_case_qc(n, "I", ZERO) == bound * reference_cost(n, 0, ZERO)
+        assert worst_case_qc(n, "H", ZERO, m=n - 1) == bound * reference_cost(n, n - 1, ZERO)
 
 
 @pytest.mark.parametrize("n", [0, 25, 10**7])

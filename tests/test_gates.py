@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import fires, planes_of, reference_parse, reference_spec, words_after, words_of
 from revsynth import gates
 from revsynth.gates import (
     CACHE_SIZE,
@@ -25,7 +26,7 @@ from revsynth.gates import (
     to_planes,
     toffoli,
 )
-from revsynth.perm import TruthVector, check_lines, decimal
+from revsynth.perm import TruthVector
 
 # The eight-gate cascade that maps [7 4 1 0 3 2 6 5] to the identity,
 # exercised throughout this file (mixed polarities, all full control).
@@ -157,7 +158,7 @@ def test_gate_perm_matches_identity_application():
         controls = frozenset(rng.sample(others, rng.randint(0, len(others))))
         negated = frozenset(c for c in controls if rng.random() < 0.5)
         g = toffoli(n, controls, target, negated)
-        rule = [v ^ (1 << target) if _fires(controls, negated, v) else v for v in range(1 << n)]
+        rule = [v ^ (1 << target) if fires(controls, negated, v) else v for v in range(1 << n)]
         assert list(_perm(g)) == rule
 
 
@@ -397,63 +398,6 @@ def test_malformed_circuit_text_raises_only_value_error(header, pieces):
         pass
 
 
-def _uncached_parse(text: str) -> Circuit:
-    """The parser as it was before gate lines were cached, kept here as the reference.
-
-    The one deliberate change: the header range is ``check_lines``' refusal.
-    """
-    n = None
-    parsed = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith(".n"):
-            if n is not None:
-                raise ValueError(f"line {lineno}: duplicate .n header")
-            try:
-                n = decimal(line[2:].strip())
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed .n header {line!r}") from None
-            try:
-                check_lines(n)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            continue
-        if n is None:
-            raise ValueError(f"line {lineno}: gate before .n header")
-        head, _, rest = line.partition(" ")
-        if not head.startswith("t"):
-            raise ValueError(f"line {lineno}: expected a t<size> gate, got {line!r}")
-        try:
-            size = decimal(head[1:])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed gate size in {head!r}") from None
-        operands = [op.strip() for op in rest.split(",")]
-        if size != len(operands):
-            raise ValueError(f"line {lineno}: gate size t{size} but {len(operands)} operands")
-        target_op = operands[-1]
-        if target_op.endswith("'"):
-            raise ValueError(f"line {lineno}: target {target_op!r} cannot be negated")
-        seen = vm = 0
-        for op in operands:
-            name = op.removesuffix("'")
-            if len(name) != 1 or name not in LINE_NAMES[:n]:
-                raise ValueError(f"line {lineno}: unknown line name {op!r}")
-            bit = 1 << LINE_NAMES.index(name)
-            if seen & bit:
-                raise ValueError(f"line {lineno}: duplicate operand {name!r}")
-            seen |= bit
-            if op == name:
-                vm |= bit
-        target = LINE_NAMES.index(target_op)
-        cm = seen & ~(1 << target)
-        parsed.append(Gate(n, target, cm, vm & cm))
-    if n is None:
-        raise ValueError("missing .n header")
-    return Circuit(n, tuple(parsed))
-
-
 def _outcome(parse, text: str):
     try:
         return parse(text)
@@ -499,7 +443,7 @@ def gate_line_texts(draw):
 @settings(max_examples=300, deadline=None)
 @given(gate_line_texts())
 def test_cached_parse_matches_the_uncached_parser(text):
-    expected = _outcome(_uncached_parse, text)
+    expected = _outcome(reference_parse, text)
     gates._parse_gate.cache_clear()
     assert _outcome(parse_circuit, text) == expected  # cold
     assert _outcome(parse_circuit, text) == expected  # warm: every valid line is a hit
@@ -624,24 +568,11 @@ def mixed_polarity_cascades(draw):
     return n, draw(st.lists(gate_lines(n), max_size=12)), draw(st.permutations(range(1 << n)))
 
 
-def _fires(controls, negated, v: int) -> bool:
-    # Per-line restatement of the firing rule on the drawn line sets, independent of the masks.
-    return all((v >> c & 1) == (c not in negated) for c in controls)
-
-
-def _to_planes(words, n: int) -> list[int]:
-    return [sum(1 << x for x, w in enumerate(words) if w >> c & 1) for c in range(n)]
-
-
-def _from_planes(planes: list[int], count: int) -> list[int]:
-    return [sum((p >> x & 1) << c for c, p in enumerate(planes)) for x in range(count)]
-
-
 @pytest.mark.parametrize("bits", range(1, 11))
 def test_input_planes_are_the_bits_of_every_word(bits):
     planes = input_planes(bits)
-    assert planes == _to_planes(range(1 << bits), bits)
-    assert _from_planes(planes, 1 << bits) == list(range(1 << bits))
+    assert planes == planes_of(range(1 << bits), bits)
+    assert words_of(planes, 1 << bits) == list(range(1 << bits))
 
 
 @settings(max_examples=150, deadline=None)
@@ -652,25 +583,18 @@ def test_fold_kernels_agree(case):
     values = TruthVector(start)
     by_list = list(Circuit(n, gates).apply(values))
     assert list(values) == start and values.where == TruthVector(start).where  # not mutated
-    planes, full = _to_planes(start, n), (1 << len(start)) - 1
+    planes, full = planes_of(start, n), (1 << len(start)) - 1
     fold_planes(planes, full, gates)
     assert all(0 <= p <= full for p in planes)  # no bits outside the word set
-    assert _from_planes(planes, len(start)) == by_list
+    assert words_of(planes, len(start)) == by_list
     tv = TruthVector(start)
     for g in gates:
         tv = _apply(g, tv)
     assert list(tv) == by_list
     reference = list(start)
     for target, controls, negated in lines:
-        reference = [v ^ (1 << target) if _fires(controls, negated, v) else v for v in reference]
+        reference = [v ^ (1 << target) if fires(controls, negated, v) else v for v in reference]
     assert reference == by_list
-
-
-def _direct(gates, words: list[int]) -> list[int]:
-    # The firing rule on each word, one gate at a time: the reference for both kernels.
-    for g in gates:
-        words = [w ^ 1 << g.target if w & g.control_mask == g.value_mask else w for w in words]
-    return words
 
 
 @settings(max_examples=150, deadline=None)
@@ -679,7 +603,7 @@ def _direct(gates, words: list[int]) -> list[int]:
 def test_plane_conversions_match_the_per_bit_transposition(case):
     bits, words = case  # any word list: repeats, any length, up to three bytes per word
     planes = to_planes(words, bits)
-    assert planes == _to_planes(words, bits)
+    assert planes == planes_of(words, bits)
     assert from_planes(planes, len(words)) == words
 
 
@@ -703,9 +627,9 @@ def masked_runs(draw):
 @given(masked_runs())
 def test_fold_planes_reuses_a_fire_set_only_within_a_run(case):
     n, runs, words = case
-    planes = _to_planes(words, n)
+    planes = planes_of(words, n)
     fold_planes(planes, (1 << len(words)) - 1, runs)
-    assert _from_planes(planes, len(words)) == _direct(runs, words)
+    assert words_of(planes, len(words)) == words_after(runs, words)
 
 
 def _narrow(rng: random.Random, n: int) -> Gate:  # NOT or CNOT
@@ -749,7 +673,7 @@ def test_circuit_apply_swaps_full_control_gates_and_folds_the_rest(n, builders, 
     # gate is a NOT, whose controls are all of its (no) other lines, so none is folded.
     first = next((k for k, build in enumerate(builders) if build is not _full), len(builders))
     assert folded == ([] if n == 1 or first == len(builders) else [c.gates[first:]])
-    assert list(result) == _direct(c.gates, start)
+    assert list(result) == words_after(c.gates, start)
 
 
 @settings(max_examples=200, deadline=None)
@@ -765,14 +689,6 @@ def test_toffoli_views_and_text_round_trip(data):
 
 # -- text emission: four lines per lookup ----------------------------------------
 
-def _reference_spec(g: Gate) -> str:
-    # The per-line rendering that Gate.spec replaced: one string per control.
-    cm, vm = g.control_mask, g.value_mask
-    operands = [LINE_NAMES[c] + ("" if vm >> c & 1 else "'") for c in range(g.n) if cm >> c & 1]
-    operands.append(LINE_NAMES[g.target])
-    return f"t{g.size} {','.join(operands)}"
-
-
 @st.composite
 def masked_gates(draw, n):
     target = draw(st.integers(0, n - 1))
@@ -785,8 +701,8 @@ def masked_gates(draw, n):
     lambda gates: Circuit(n, gates))))
 def test_spec_matches_the_per_line_rendering(c):
     for g in c.gates:
-        assert g.spec() == _reference_spec(g) == str(g)
-    assert c.to_text() == "".join([f".n {c.n}\n"] + [_reference_spec(g) + "\n" for g in c.gates])
+        assert g.spec() == reference_spec(g) == str(g)
+    assert c.to_text() == "".join([f".n {c.n}\n"] + [reference_spec(g) + "\n" for g in c.gates])
     assert parse_circuit(c.to_text()) == c
 
 
@@ -799,7 +715,7 @@ def test_spec_matches_the_per_line_rendering_exhaustively(n):
         for vm in range(1 << n) if vm & ~cm == 0
     ]
     assert len(gates) == n * 3 ** (n - 1)  # each other line: no control, on 0 or on 1
-    assert [g.spec() for g in gates] == [_reference_spec(g) for g in gates]
+    assert [g.spec() for g in gates] == [reference_spec(g) for g in gates]
     assert parse_circuit(Circuit(n, gates).to_text()).gates == tuple(gates)
 
 

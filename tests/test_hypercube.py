@@ -5,15 +5,13 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from reference import words_after
 from revsynth.cli import SYNTHESIZERS
-from revsynth.gates import Circuit, Gate, parse_circuit
+from revsynth.gates import Circuit, parse_circuit
 from revsynth.hypercube import hc_bidirectional, hc_synthesize
 from revsynth.mmd import mmd_synthesize
 from revsynth.perm import TruthVector
-from test_mmd import reference_mmd
 
 WORKED_INPUT = [7, 4, 1, 0, 3, 2, 6, 5]
 
@@ -147,8 +145,7 @@ def test_suffix_fixed_right_prefix_fixed_left():
             fixed_high = 8  # right order: all positions >= this hold their index
             fixed_low = -1  # left order: all positions <= this do
             for g in hc_synthesize(f, order).gates:
-                cm, vm, flip = g.control_mask, g.value_mask, 1 << g.target
-                cur = [x ^ flip if x & cm == vm else x for x in cur]
+                cur = words_after([g], cur)
                 if order == "right":
                     while fixed_high > 0 and cur[fixed_high - 1] == fixed_high - 1:
                         fixed_high -= 1
@@ -188,50 +185,6 @@ def test_exhaustive_s8_sample_slice():
             circuit = hc_synthesize(f, order)
             assert circuit.apply(f).is_identity()
             assert len(circuit) <= 17
-
-
-def _reference_hc(f: TruthVector, order: str) -> Circuit:
-    # The scan of hc_synthesize with no position table: each gate is applied
-    # by testing every entry, and the scanned value is reread after it.
-    n = f.n
-    full = (1 << n) - 1
-    entries = list(f.entries)
-    gates = []
-    for i in range(full, 0, -1) if order == "right" else range(full):
-        for j in range(n):
-            v = entries[i]
-            bit = 1 << j
-            if (v ^ i) & bit:
-                g = Gate(n, j, full ^ bit, v & ~bit)
-                entries = [x ^ bit if x & g.control_mask == g.value_mask else x for x in entries]
-                gates.append(g)
-    assert entries == list(range(1 << n))
-    return Circuit(n, tuple(gates))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1 << n))))
-def test_hypercube_scans_equal_their_reference(entries):
-    f = TruthVector(entries)
-    bound = (f.n - 1) * (1 << f.n) + 1
-    for order in ("right", "left"):
-        reference = _reference_hc(f, order)
-        assert hc_synthesize(f, order) == reference
-        assert len(reference) <= bound
-
-
-def _reference_bidirectional(f: TruthVector) -> Circuit:
-    right = _reference_hc(f, "right")
-    left = _reference_hc(f, "left")
-    return right if len(right) <= len(left) else left
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1 << n))))
-def test_fast_synthesizers_equal_their_reference(entries):
-    f = TruthVector(entries)
-    assert mmd_synthesize(f) == reference_mmd(f)
-    assert hc_bidirectional(f) == _reference_bidirectional(f)
 
 
 def test_wide_reverify_costs_the_swaps_not_the_entries():

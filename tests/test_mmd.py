@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_mmd, words_after
 from revsynth import mmd
 from revsynth.gates import Circuit, Gate, toffoli
 from revsynth.mmd import mmd_synthesize
@@ -70,12 +71,6 @@ def test_extremal_gate_counts():
     assert len(mmd_synthesize(TruthVector(n4))) == 49
 
 
-def test_gate_count_bound_attained_equals_formula():
-    # 17 = (3-1)*2^3 + 1, 49 = (4-1)*2^4 + 1
-    assert 17 == 2 * 8 + 1
-    assert 49 == 3 * 16 + 1
-
-
 def _first_unfixed(entries: list[int]) -> int:
     for i, v in enumerate(entries):
         if v != i:
@@ -95,8 +90,7 @@ def test_progress_invariants_sampled():
         for g in circuit.gates:
             i_star = _first_unfixed(cur)
             before = cur[i_star]
-            cm, vm, flip = g.control_mask, g.value_mask, 1 << g.target
-            cur = [x ^ flip if x & cm == vm else x for x in cur]
+            cur = words_after([g], cur)
             assert all(cur[j] == j for j in range(min(i_star, _first_unfixed(cur))))
             if g.controls:
                 after = cur[i_star]
@@ -119,15 +113,6 @@ def test_random_correctness_and_bound(n):
         assert all(g.is_g_toffoli() for g in circuit.gates)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1 << n))))
-def test_mmd_reverifies_within_gate_bound(entries):
-    f = TruthVector(entries)
-    circuit = mmd_synthesize(f)
-    assert circuit.apply(f).is_identity()
-    assert len(circuit) <= (f.n - 1) * (1 << f.n) + 1
-
-
 def test_exhaustive_s8_sample_slice():
     # full S8 coverage lives in the acceptance suite; spot-check a stride here
     for entries in itertools.islice(itertools.permutations(range(8)), 0, 40320, 1009):
@@ -137,38 +122,11 @@ def test_exhaustive_s8_sample_slice():
         assert len(circuit) <= 17
 
 
-def reference_mmd(f: TruthVector) -> Circuit:
-    # The row-step algorithm of mmd_synthesize on a value list: each row is read
-    # by index and each gate refolds the list with a plain comparison per entry.
-    n = f.n
-    entries = list(f.entries)
-    gates = []
-    for i in range(1 << n):
-        v = entries[i]
-        if v == i:
-            continue
-        step = [Gate(n, j, v, v) for j in range(n) if (i & ~v) >> j & 1]
-        step += [Gate(n, k, i, i) for k in range(n) if (v & ~i) >> k & 1]
-        for g in step:
-            flip = 1 << g.target
-            entries = [x ^ flip if x & g.control_mask == g.value_mask else x for x in entries]
-        gates += step
-    assert entries == list(range(1 << n))
-    return Circuit(n, tuple(gates))
-
-
 def test_planes_emit_the_list_fold_cascade_on_every_small_function():
     for n in (1, 2, 3):
         for entries in itertools.permutations(range(1 << n)):
             f = TruthVector(entries)
             assert mmd_synthesize(f) == reference_mmd(f)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(4, 8).flatmap(lambda n: st.permutations(range(1 << n))))
-def test_planes_emit_the_list_fold_cascade(entries):
-    f = TruthVector(entries)
-    assert mmd_synthesize(f) == reference_mmd(f)
 
 
 def _masks(g: Gate) -> tuple[int, int]:
